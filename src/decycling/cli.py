@@ -322,7 +322,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"out of range: {err}", file=sys.stderr)
         return EXIT_RANGE
     except BudgetExceededError as err:
-        extra = f" (best known upper bound {err.best_known})" if err.best_known else ""
+        extra = ""
+        if err.best_known is not None:
+            extra = f" (best known upper bound {err.best_known})"
         print(f"budget exceeded: {err}{extra}", file=sys.stderr)
         return EXIT_RANGE
     except ConstructionInvariantError as err:

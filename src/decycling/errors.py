@@ -22,9 +22,10 @@ class CertificateFormatError(DecyclingError, ValueError):
 
 
 class ConstructionInvariantError(DecyclingError, RuntimeError):
-    """A construction produced a set that fails its own invariant.
+    """A construction or the exact solver produced a set that fails its own
+    invariant (for the solver: a witness that leaves a cycle).
 
-    This signals a bug in the construction, never bad user input.
+    This signals a bug in the package, never bad user input.
     """
 
 

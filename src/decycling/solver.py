@@ -9,7 +9,17 @@ must hit every cycle) after exhaustively applying three reductions:
 * a vertex carrying a self-loop is forced into the set,
 * a degree-2 vertex is suppressed by contracting its two edges; a parallel
   edge created this way is a forced choice between its endpoints (it is the
-  shortest cycle, so branching immediately picks one of the two).
+  shortest cycle, so branching immediately picks one of the two),
+
+and then a fourth rule that prunes the node outright:
+
+* the cycle-rank bound (Beineke & Vandell, *Decycling graphs*, 1997): the
+  cycle rank r = E - V + C of the multigraph (E counts edge multiplicities,
+  C components) must fall to 0, and deleting a vertex of degree d lowers it
+  by at most d - 1, so a node whose remaining k picks cannot cover r with the
+  k largest values of deg - 1 among non-forbidden vertices is infeasible.
+  The count needs a multigraph without self-loops; the reductions remove
+  every loop, and the unreduced search never creates one.
 
 The working representation is a multigraph (contractions create parallel
 edges); witnesses always refer to original vertex labels.  Everything is
@@ -28,6 +38,7 @@ from .bounds import bound_report
 from .construct import CylinderGadget, extend_with_cylinders
 from .errors import (
     BudgetExceededError,
+    ConstructionInvariantError,
     GadgetNotFoundError,
     InvalidParameterError,
 )
@@ -76,6 +87,37 @@ def _delete(adj: Adj, v: int) -> None:
         if u != v:
             del adj[u][v]
     del adj[v]
+
+
+def _rank_exceeds(adj: Adj, k: int, forbidden: frozenset[int]) -> bool:
+    """True when no k non-forbidden deletions can leave a forest.
+
+    Degrees only fall as deletions go on, so the k picks lower the cycle rank
+    E - V + C by at most the sum of the k largest current values of deg - 1.
+    adj must carry no self-loops.
+    """
+    degree = {v: sum(nbrs.values()) for v, nbrs in adj.items()}
+    gains = sorted(
+        (d - 1 for v, d in degree.items() if d > 1 and v not in forbidden),
+        reverse=True,
+    )
+    spare = sum(gains[:k]) - sum(degree.values()) // 2 + len(adj)
+    # Prune when spare < C; components are counted only until that shows.
+    seen: set[int] = set()
+    for root in adj:
+        if root in seen:
+            continue
+        spare -= 1
+        if spare < 0:
+            return True
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return False
 
 
 def greedy_decycling(g: Graph) -> VertexSet:
@@ -225,11 +267,11 @@ class _Search:
             k = budget
         if not adj:
             return chosen
+        if _rank_exceeds(adj, k, forbidden):
+            return None
         cycle = self._find_cycle(adj)
         if cycle is None:
             return chosen
-        if k == 0:
-            return None
         blocked = set(forbidden)
         for v in sorted(cycle):
             if v in blocked:
@@ -254,17 +296,17 @@ class _Search:
             return
         chosen = list(taken)
         if self.cfg.use_reductions:
-            budget = self._reduce(adj, forbidden, chosen, room)
-            if budget is None:
+            room = self._reduce(adj, forbidden, chosen, room)
+            if room is None:
                 return
         if not adj:
             self.best = chosen
             return
+        if _rank_exceeds(adj, room, forbidden):
+            return
         cycle = self._find_cycle(adj)
         if cycle is None:
             self.best = chosen
-            return
-        if len(chosen) + 1 >= len(self.best):
             return
         blocked = set(forbidden)
         for v in sorted(cycle):
@@ -328,14 +370,15 @@ def min_fvs_exact(
 
     When the instance is a known family, pass its spec so the search starts
     at the aggregated lower bound; otherwise the per-component cycle-rank
-    bound seeds the deepening.
+    bound seeds the deepening.  A spec that does not realize to g itself is
+    rejected, since its bound need not hold for g.
     """
     cfg = cfg or SolverConfig()
     if g.n_vertices > cfg.vertex_budget:
         raise BudgetExceededError(
             f"graph order {g.n_vertices} exceeds vertex budget {cfg.vertex_budget}"
         )
-    if spec is not None and realize(spec).n_vertices != g.n_vertices:
+    if spec is not None and realize(spec) != g:
         raise InvalidParameterError("spec does not match the supplied graph")
     start = time.perf_counter()
     search = _Search(g, cfg)
@@ -360,11 +403,11 @@ def min_fvs_exact(
                     break
                 witness = smaller
     except BudgetExceededError as err:
-        raise BudgetExceededError(
-            str(err), best_known=err.best_known or incumbent.cardinality
-        ) from None
+        best = incumbent.cardinality if err.best_known is None else err.best_known
+        raise BudgetExceededError(str(err), best_known=best) from None
     result_set = VertexSet.of(g.n_vertices, witness)
-    assert residual(g, result_set).is_forest
+    if not residual(g, result_set).is_forest:
+        raise ConstructionInvariantError("search returned a set that leaves a cycle")
     return SolverResult(
         minimum=len(witness),
         witness=result_set,

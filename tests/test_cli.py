@@ -221,3 +221,15 @@ def test_export_writes_file(capsys, tmp_path):
     code, out, _ = run(capsys, "export", "c3xc", "5", "-o", str(out_path))
     assert code == 0
     assert out_path.read_text(encoding="utf-8").startswith("graph G {")
+
+
+def test_budget_error_prints_a_best_known_bound_of_zero(capsys, monkeypatch):
+    import decycling.cli as cli
+    from decycling.errors import BudgetExceededError
+
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("node budget 1 exceeded", best_known=0)
+
+    monkeypatch.setattr(cli, "min_fvs_exact", exhausted)
+    code, _, err = run(capsys, "oracle", "pow2", "6")
+    assert code == 3 and "best known upper bound 0" in err

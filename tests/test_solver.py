@@ -1,12 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_min_fvs
-from decycling.construct import CYLINDER_GADGET, decycle_c4xn, decycle_cn2
-from decycling.errors import BudgetExceededError, InvalidParameterError
+from conftest import naive_has_cycle, naive_min_fvs
+from decycling.construct import CYLINDER_GADGET, decycle_c4xn, decycle_cn2, nabla_formula
+from decycling.errors import (
+    BudgetExceededError,
+    ConstructionInvariantError,
+    InvalidParameterError,
+)
 from decycling.graphs import FamilySpec, Graph, graph_power, make_cycle, realize
 from decycling.solver import (
     SolverConfig,
@@ -237,3 +242,63 @@ def test_discover_gadget_preconditions():
         discover_gadget(good4, decycle_c4xn(7))
     with pytest.raises(InvalidParameterError):
         discover_gadget(decycle_cn2(10), good5)
+
+
+def test_spec_for_a_different_graph_of_the_same_order_is_rejected():
+    # 16 vertices like C4 x C4, but its true minimum is 5; seeding the
+    # deepening with the torus bound of 6 would report 6.
+    pairs = list(itertools.combinations(range(16), 2))
+    g = Graph.from_edges(16, random.Random(0).sample(pairs, 32))
+    assert min_fvs_exact(g).minimum == 5
+    with pytest.raises(InvalidParameterError):
+        min_fvs_exact(g, spec=FamilySpec.c4xc(4))
+
+
+def test_witness_that_leaves_a_cycle_raises(monkeypatch):
+    monkeypatch.setattr(_Search, "decide", lambda self, k: [])
+    with pytest.raises(ConstructionInvariantError):
+        min_fvs_exact(make_cycle(5))
+
+
+def test_budget_error_keeps_a_best_known_bound_of_zero(monkeypatch):
+    def exhausted(self, k):
+        raise BudgetExceededError("node budget exceeded", best_known=0)
+
+    monkeypatch.setattr(_Search, "decide", exhausted)
+    with pytest.raises(BudgetExceededError) as info:
+        min_fvs_exact(make_cycle(5))
+    assert info.value.best_known == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_decide_with_forbidden_vertices_agrees_with_subset_enumeration(data):
+    n = data.draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+    forbidden = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    k = data.draw(st.integers(0, n))
+    g = Graph.from_edges(n, edges)
+    free = [v for v in g.vertices() if v not in forbidden]
+    expected = any(
+        not naive_has_cycle(g, frozenset(combo))
+        for size in range(min(k, len(free)) + 1)
+        for combo in itertools.combinations(free, size)
+    )
+    for use_reductions in (True, False):
+        engine = _Search(g, SolverConfig(use_reductions=use_reductions))
+        adj = {v: {u: 1 for u in g.neighbors(v)} for v in g.vertices()}
+        found = engine._decide(adj, k, forbidden)
+        assert (found is not None) == expected, (edges, sorted(forbidden), k)
+        if found is not None:
+            assert len(found) <= k and not forbidden & set(found)
+            assert not naive_has_cycle(g, frozenset(found))
+
+
+def test_oracle_confirms_formula_beyond_the_acceptance_grid():
+    cfg = SolverConfig(node_budget=20_000)
+    for spec in [FamilySpec.c3xc(n) for n in (14, 15, 16)] + [
+        FamilySpec.c4xc(n) for n in (10, 11)
+    ]:
+        result = min_fvs_exact(realize(spec), cfg, spec=spec)
+        assert result.minimum == nabla_formula(spec), spec
