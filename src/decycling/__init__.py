@@ -3,132 +3,44 @@
 Construct minimum decycling sets (feedback vertex sets) for C3 x Cn, C4 x Cn,
 Cn^2 and Cn^3, compute lower bounds, emit machine-checkable certificates, and
 validate everything against an exact search oracle at desk scale.
+
+The names below are the documented API (see the README); everything else
+stays importable from its own module.
 """
 
-from .bounds import (
-    BoundReport,
-    beineke_vandell,
-    bound_report,
-    clique_bound,
-    cube_count_bound,
-    k4_window_bound,
-    window_bound_cycle_power,
-)
+from .bounds import bound_report
 from .construct import (
-    C4XC4_BASE,
-    C4XC5_BASE,
-    CYLINDER_GADGET,
-    CylinderGadget,
-    alternating_row_set,
     build_certificate,
     decycle_c3xn,
     decycle_c4xn,
     decycle_cn2,
     decycle_cn3,
-    extend_with_cylinders,
-    formula_note,
     nabla_formula,
-    oracle_certificate,
 )
-from .errors import (
-    BudgetExceededError,
-    CertificateFormatError,
-    ConstructionInvariantError,
-    DecyclingError,
-    GadgetNotFoundError,
-    InvalidParameterError,
-    NotCoveredError,
-    UniverseMismatchError,
-)
-from .graphs import (
-    FamilySpec,
-    Graph,
-    TorusCoord,
-    adjacency_dump,
-    cartesian_product,
-    graph_power,
-    is_connected,
-    make_cycle,
-    make_cycle_power,
-    realize,
-    to_dot,
-    torus_coord,
-)
-from .solver import (
-    SolverConfig,
-    SolverResult,
-    discover_gadget,
-    exists_fvs_of_size,
-    greedy_decycling,
-    min_fvs_exact,
-)
-from .verify import (
-    FAILED,
-    UNVERIFIED,
-    VERIFIED,
-    DecyclingCertificate,
-    ResidualReport,
-    VertexSet,
-    is_unicyclic,
-    residual,
-    verify_certificate,
-)
+from .errors import DecyclingError
+from .graphs import FamilySpec, Graph, realize
+from .solver import SolverConfig, discover_gadget, exists_fvs_of_size, min_fvs_exact
+from .verify import DecyclingCertificate, VertexSet, is_unicyclic, residual, verify_certificate
 
 __all__ = [
-    "BoundReport",
-    "BudgetExceededError",
-    "C4XC4_BASE",
-    "C4XC5_BASE",
-    "CYLINDER_GADGET",
-    "CertificateFormatError",
-    "ConstructionInvariantError",
-    "CylinderGadget",
     "DecyclingCertificate",
     "DecyclingError",
-    "FAILED",
     "FamilySpec",
-    "GadgetNotFoundError",
     "Graph",
-    "InvalidParameterError",
-    "NotCoveredError",
-    "ResidualReport",
     "SolverConfig",
-    "SolverResult",
-    "TorusCoord",
-    "UNVERIFIED",
-    "UniverseMismatchError",
-    "VERIFIED",
     "VertexSet",
-    "adjacency_dump",
-    "alternating_row_set",
-    "beineke_vandell",
     "bound_report",
     "build_certificate",
-    "cartesian_product",
-    "clique_bound",
-    "cube_count_bound",
     "decycle_c3xn",
     "decycle_c4xn",
     "decycle_cn2",
     "decycle_cn3",
     "discover_gadget",
     "exists_fvs_of_size",
-    "extend_with_cylinders",
-    "formula_note",
-    "graph_power",
-    "greedy_decycling",
-    "is_connected",
     "is_unicyclic",
-    "k4_window_bound",
-    "make_cycle",
-    "make_cycle_power",
     "min_fvs_exact",
     "nabla_formula",
-    "oracle_certificate",
     "realize",
     "residual",
-    "to_dot",
-    "torus_coord",
     "verify_certificate",
-    "window_bound_cycle_power",
 ]

@@ -10,27 +10,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
-from .graphs import C4XC, FamilySpec, Graph, is_connected, realize
+from .graphs import C4XC, FamilySpec, Graph, is_connected
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def beineke_vandell(g: Graph) -> int:
-    """Cycle-rank bound: at least (|E| - |V| + 1) / (max degree - 1) vertices.
+def cycle_rank_bound(order: int, size: int, max_degree: int) -> int:
+    """Cycle-rank bound for a connected simple graph with the given counts:
+    at least (|E| - |V| + 1) / (max degree - 1) vertices; forests clamp to 0."""
+    excess = size - order + 1
+    if excess <= 0:
+        return 0
+    # excess > 0 on a connected graph forces max degree >= 2.
+    return _ceil_div(excess, max_degree - 1)
 
-    Valid for connected simple graphs; forests clamp to 0.
-    """
+
+def beineke_vandell(g: Graph) -> int:
+    """The cycle-rank bound of g; valid for connected simple graphs."""
     if not is_connected(g):
         raise InvalidParameterError("bound requires a connected graph")
     if g.n_vertices == 0:
         return 0
-    excess = g.n_edges - g.n_vertices + 1
-    if excess <= 0:
-        return 0
-    # excess > 0 on a connected graph forces max degree >= 2.
-    return _ceil_div(excess, g.max_degree - 1)
+    return cycle_rank_bound(g.n_vertices, g.n_edges, g.max_degree)
 
 
 def cube_count_bound(n: int) -> int:
@@ -89,9 +92,15 @@ class BoundReport:
 
 
 def bound_report(spec: FamilySpec) -> BoundReport:
-    """Compute every applicable lower bound for the instance and take the max."""
-    g = realize(spec)
-    report = BoundReport(instance=spec, beineke_vandell=beineke_vandell(g))
+    """Compute every applicable lower bound for the instance and take the max.
+
+    Pure arithmetic: every family graph is connected and spec.degree-regular.
+    """
+    order, degree = spec.order, spec.degree
+    report = BoundReport(
+        instance=spec,
+        beineke_vandell=cycle_rank_bound(order, order * degree // 2, degree),
+    )
     report.notes["beineke_vandell"] = "cycle rank over (max degree - 1)"
 
     if spec.kind == C4XC:
@@ -110,9 +119,8 @@ def bound_report(spec: FamilySpec) -> BoundReport:
         if windows:
             report.window_bound = max(windows)
 
-    cb = clique_bound(g)
-    if cb is not None:
-        report.clique_bound = cb
+    if degree == order - 1:
+        report.clique_bound = order - 2
         report.notes["clique_bound"] = "complete graph keeps at most 2 vertices"
 
     present = [

@@ -11,20 +11,12 @@ import json
 from typing import Any
 
 from .errors import CertificateFormatError
-from .graphs import C3XC, C4XC, POWM, FamilySpec
+from .graphs import POWM, FamilySpec, _is_int
 from .verify import FAILED, UNVERIFIED, VERIFIED, DecyclingCertificate, VertexSet
 
 SCHEMA_VERSION = "1"
 
 _STATUSES = (UNVERIFIED, VERIFIED, FAILED)
-
-
-def _family_order(spec: FamilySpec) -> int:
-    if spec.kind == C3XC:
-        return 3 * spec.n
-    if spec.kind == C4XC:
-        return 4 * spec.n
-    return spec.n
 
 
 def certificate_to_document(cert: DecyclingCertificate) -> dict[str, Any]:
@@ -69,17 +61,17 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
         spec = FamilySpec(family["kind"], family["n"], family.get("m"))
     except Exception as err:
         raise CertificateFormatError(f"bad family: {err}") from None
-    if not isinstance(n_vertices, int) or n_vertices != _family_order(spec):
+    if not _is_int(n_vertices) or n_vertices != spec.order:
         raise CertificateFormatError(
             f"n_vertices {n_vertices!r} does not match {spec.describe()}"
         )
-    if not isinstance(members, list) or any(not isinstance(v, int) for v in members):
+    if not isinstance(members, list) or not all(map(_is_int, members)):
         raise CertificateFormatError("set must be a list of integers")
     if members != sorted(set(members)):
         raise CertificateFormatError("set must be strictly ascending")
     if any(not 0 <= v < n_vertices for v in members):
         raise CertificateFormatError("set member out of vertex range")
-    if not isinstance(cardinality, int) or not isinstance(lower_bound, int):
+    if not _is_int(cardinality) or not _is_int(lower_bound):
         raise CertificateFormatError("cardinality and lower_bound must be integers")
     if not isinstance(method, str):
         raise CertificateFormatError("method must be a string")

@@ -1,8 +1,10 @@
-"""Explicit minimum decycling sets for the four families, as certificates.
+"""Closed forms and explicit minimum decycling sets for the four families.
 
-Every construction is a pure function of its parameters, re-checks its own
-output through the verifier, and returns a certificate whose lower bound
-equals its cardinality, pinning the decycling number exactly.
+The closed forms are stated once, in the `_closed_form` table.  Every
+construction is a pure function of its parameters, claims the table's value
+as its cardinality, re-checks that claim and its set through the verifier,
+and returns a certificate whose lower bound equals its cardinality, pinning
+the decycling number exactly.
 
 The C4 x Cn base sets and the two-column cylinder gadget were derived by
 exhaustive search (see the solver module's discover_gadget, which regenerates
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bounds import bound_report, cube_count_bound
+from .bounds import cube_count_bound
 from .errors import ConstructionInvariantError, InvalidParameterError, NotCoveredError
 from .graphs import C3XC, C4XC, POW2, POW3, POWM, FamilySpec, Graph, realize
 from .verify import (
@@ -78,15 +80,17 @@ def _certify(
     spec: FamilySpec,
     g: Graph,
     members: Iterable[int],
-    cardinality: int,
-    lower_bound: int,
     method: str,
+    lower_bound: int | None = None,
 ) -> DecyclingCertificate:
+    """Certificate claiming the closed-form cardinality for spec (and, unless
+    given, the same lower bound), checked against the set by the verifier."""
+    value = nabla_formula(spec)
     cert = DecyclingCertificate(
         family=spec,
         vertex_set=VertexSet.of(g.n_vertices, members),
-        cardinality=cardinality,
-        lower_bound=lower_bound,
+        cardinality=value,
+        lower_bound=value if lower_bound is None else lower_bound,
         method=method,
     )
     cert = verify_certificate(cert, g)
@@ -120,14 +124,7 @@ def decycle_c3xn(n: int) -> DecyclingCertificate:
             f"row pattern for C3 x C{n} did not leave a unicyclic graph"
         )
     repair = min(cycle)
-    return _certify(
-        spec,
-        g,
-        base.members | {repair},
-        cardinality=n + 1,
-        lower_bound=n + 1,
-        method="row-zigzag-plus-repair",
-    )
+    return _certify(spec, g, base.members | {repair}, "row-zigzag-plus-repair")
 
 
 def decycle_c4xn(n: int) -> DecyclingCertificate:
@@ -143,12 +140,7 @@ def decycle_c4xn(n: int) -> DecyclingCertificate:
         base_n, base = 5, C4XC5_BASE
     s = extend_with_cylinders(base_n, base, CYLINDER_GADGET, (n - base_n) // 2)
     return _certify(
-        spec,
-        g,
-        s.members,
-        cardinality=(3 * n + 1) // 2,
-        lower_bound=cube_count_bound(n),
-        method="base-plus-cylinders",
+        spec, g, s.members, "base-plus-cylinders", lower_bound=cube_count_bound(n)
     )
 
 
@@ -163,10 +155,7 @@ def decycle_cn2(n: int) -> DecyclingCertificate:
         members = set(range(0, n, 3))
     else:
         members = set(range(0, n - 1, 3)) | {n - 1}
-    cardinality = (n + 3) // 3 + (1 if r == 2 else 0)
-    return _certify(
-        spec, g, members, cardinality, cardinality, method="spaced-thirds"
-    )
+    return _certify(spec, g, members, "spaced-thirds")
 
 
 def decycle_cn3(n: int) -> DecyclingCertificate:
@@ -176,61 +165,48 @@ def decycle_cn3(n: int) -> DecyclingCertificate:
     members = {0, 1, 2}
     if n % 2 == 0:
         members.update(range(4, n - 1, 2))
-        cardinality = (n + 2) // 2
     elif n % 4 == 1:
         for k in range(1, (n - 5) // 4 + 1):
             members.update((4 * k + 1, 4 * k + 2))
-        cardinality = (n + 1) // 2
     else:
         for k in range(1, (n - 3) // 4 + 1):
             members.update((4 * k, 4 * k + 1))
-        cardinality = (n + 3) // 2
-    return _certify(
-        spec, g, members, cardinality, cardinality, method="triple-plus-pairs"
-    )
+    return _certify(spec, g, members, "triple-plus-pairs")
+
+
+def _closed_form(spec: FamilySpec) -> tuple[int, str]:
+    """The paper's decycling number for spec, with the tag of its branch.
+
+    This table is the one statement of the four closed forms; powm with
+    m = 2 or 3 reads the square or cube rows.
+    """
+    if spec.kind == POWM:
+        try:
+            square_or_cube = FamilySpec({2: POW2, 3: POW3}.get(spec.m), spec.n)
+        except InvalidParameterError:
+            raise NotCoveredError(
+                f"no closed-form decycling number for {spec.describe()}"
+            ) from None
+        return _closed_form(square_or_cube)
+    n, kind = spec.n, spec.kind
+    if kind == C3XC:
+        return n + 1, "closed form n+1"
+    if kind == C4XC:
+        return (3 * n + 1) // 2, "closed form ceil(3n/2)"
+    if kind == POW2:
+        if n % 3 == 2:
+            return (n + 3) // 3 + 1, "closed form ceil((n+1)/3)+1, n = 2 mod 3"
+        return (n + 3) // 3, f"closed form ceil((n+1)/3), n = {n % 3} mod 3"
+    if n % 2 == 0:
+        return (n + 2) // 2, "closed form (n+2)/2, n even"
+    if n % 4 == 1:
+        return (n + 1) // 2, "closed form (n+1)/2, n = 1 mod 4"
+    return (n + 3) // 2, "closed form (n+3)/2, n = 3 mod 4"
 
 
 def nabla_formula(spec: FamilySpec) -> int:
     """The closed-form decycling number for the four covered families."""
-    n = spec.n
-    if spec.kind == C3XC:
-        return n + 1
-    if spec.kind == C4XC:
-        return (3 * n + 1) // 2
-    if spec.kind == POW2:
-        return (n + 3) // 3 + (1 if n % 3 == 2 else 0)
-    if spec.kind == POW3:
-        if n % 2 == 0:
-            return (n + 2) // 2
-        return (n + 1) // 2 if n % 4 == 1 else (n + 3) // 2
-    # powm: delegate to the square/cube formulas where they apply.
-    if spec.m == 2 and n >= 4:
-        return nabla_formula(FamilySpec.pow2(n))
-    if spec.m == 3 and n >= 5:
-        return nabla_formula(FamilySpec.pow3(n))
-    raise NotCoveredError(
-        f"no closed-form decycling number for {spec.describe()}"
-    )
-
-
-def formula_note(spec: FamilySpec) -> str:
-    """Human-readable tag for the formula branch that applies to spec."""
-    n = spec.n
-    if spec.kind == C3XC:
-        return "closed form n+1"
-    if spec.kind == C4XC:
-        return "closed form ceil(3n/2)"
-    if spec.kind == POW2 or (spec.kind == POWM and spec.m == 2):
-        if n % 3 == 2:
-            return "closed form ceil((n+1)/3)+1, n = 2 mod 3"
-        return f"closed form ceil((n+1)/3), n = {n % 3} mod 3"
-    if spec.kind == POW3 or (spec.kind == POWM and spec.m == 3):
-        if n % 2 == 0:
-            return "closed form (n+2)/2, n even"
-        if n % 4 == 1:
-            return "closed form (n+1)/2, n = 1 mod 4"
-        return "closed form (n+3)/2, n = 3 mod 4"
-    return "not covered"
+    return _closed_form(spec)[0]
 
 
 _BUILDERS = {
@@ -247,17 +223,3 @@ def build_certificate(spec: FamilySpec) -> DecyclingCertificate:
     if builder is None:
         raise NotCoveredError(f"no construction for {spec.describe()}")
     return builder(spec.n)
-
-
-def oracle_certificate(
-    spec: FamilySpec, minimum_set: VertexSet
-) -> DecyclingCertificate:
-    """Wrap an exact-solver witness as a certificate for the instance."""
-    cert = DecyclingCertificate(
-        family=spec,
-        vertex_set=minimum_set,
-        cardinality=minimum_set.cardinality,
-        lower_bound=bound_report(spec).best,
-        method="oracle",
-    )
-    return verify_certificate(cert)

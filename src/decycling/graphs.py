@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidParameterError
 
@@ -23,8 +23,27 @@ POW2 = "pow2"  # Cn^2
 POW3 = "pow3"  # Cn^3
 POWM = "powm"  # Cn^m, m arbitrary
 
-_FAMILY_KINDS = (C3XC, C4XC, POW2, POW3, POWM)
-_MIN_N = {C3XC: 3, C4XC: 4, POW2: 4, POW3: 5, POWM: 3}
+
+class _Family(NamedTuple):
+    min_n: int
+    torus_rows: int | None  # C_rows x Cn for products
+    power: int | None  # fixed exponent for Cn^power; powm takes the spec's m
+
+
+# The family registry: every per-kind fact FamilySpec derives from.
+_REGISTRY = {
+    C3XC: _Family(3, 3, None),
+    C4XC: _Family(4, 4, None),
+    POW2: _Family(4, None, 2),
+    POW3: _Family(5, None, 3),
+    POWM: _Family(3, None, None),
+}
+FAMILY_KINDS = tuple(_REGISTRY)
+
+
+def _is_int(x: object) -> bool:
+    """True for JSON/Python integers; bools are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -121,8 +140,9 @@ def torus_coord(label: int, n_cols: int) -> TorusCoord:
 class FamilySpec:
     """One instance of a supported graph family.
 
-    kind is one of "c3xc", "c4xc", "pow2", "pow3", "powm"; n is the cycle
-    length; m is the power exponent and only present for kind "powm".
+    kind is one of FAMILY_KINDS; n is the cycle length; m is the power
+    exponent and only present for kind "powm".  Everything else about the
+    instance (order, degree, torus rows, power) is derived from the registry.
     """
 
     kind: str
@@ -130,14 +150,17 @@ class FamilySpec:
     m: int | None = field(default=None)
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in FAMILY_KINDS:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
-        if self.n < _MIN_N[self.kind]:
+        if not _is_int(self.n):
+            raise InvalidParameterError(f"n must be an integer, got {self.n!r}")
+        min_n = _REGISTRY[self.kind].min_n
+        if self.n < min_n:
             raise InvalidParameterError(
-                f"family {self.kind!r} needs n >= {_MIN_N[self.kind]}, got {self.n}"
+                f"family {self.kind!r} needs n >= {min_n}, got {self.n}"
             )
         if self.kind == POWM:
-            if self.m is None or self.m < 1:
+            if not _is_int(self.m) or self.m < 1:
                 raise InvalidParameterError("powm needs a power m >= 1")
         elif self.m is not None:
             raise InvalidParameterError(f"family {self.kind!r} takes no power parameter")
@@ -165,29 +188,29 @@ class FamilySpec:
     @property
     def power(self) -> int | None:
         """Effective power exponent for cycle-power families, else None."""
-        if self.kind == POW2:
-            return 2
-        if self.kind == POW3:
-            return 3
-        if self.kind == POWM:
-            return self.m
-        return None
+        return self.m if self.kind == POWM else _REGISTRY[self.kind].power
 
     @property
     def torus_rows(self) -> int | None:
         """Number of torus rows for product families, else None."""
-        if self.kind == C3XC:
-            return 3
-        if self.kind == C4XC:
+        return _REGISTRY[self.kind].torus_rows
+
+    @property
+    def order(self) -> int:
+        """Vertex count of the realized graph."""
+        rows = self.torus_rows
+        return rows * self.n if rows else self.n
+
+    @property
+    def degree(self) -> int:
+        """Common vertex degree of the realized graph (every family is regular)."""
+        if self.torus_rows:
             return 4
-        return None
+        return min(2 * self.power, self.n - 1)
 
     def describe(self) -> str:
-        if self.kind == C3XC:
-            return f"C3 x C{self.n}"
-        if self.kind == C4XC:
-            return f"C4 x C{self.n}"
-        return f"C{self.n}^{self.power}"
+        rows = self.torus_rows
+        return f"C{rows} x C{self.n}" if rows else f"C{self.n}^{self.power}"
 
 
 def make_cycle(n: int) -> Graph:
@@ -264,10 +287,9 @@ def make_cycle_power(n: int, m: int) -> Graph:
 
 def realize(spec: FamilySpec) -> Graph:
     """The concrete graph a FamilySpec names, with deterministic labels."""
-    if spec.kind == C3XC:
-        return cartesian_product(make_cycle(3), make_cycle(spec.n))
-    if spec.kind == C4XC:
-        return cartesian_product(make_cycle(4), make_cycle(spec.n))
+    rows = spec.torus_rows
+    if rows:
+        return cartesian_product(make_cycle(rows), make_cycle(spec.n))
     return make_cycle_power(spec.n, spec.power)
 
 

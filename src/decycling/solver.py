@@ -34,8 +34,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .bounds import bound_report
-from .construct import CylinderGadget, extend_with_cylinders
+from .bounds import bound_report, cycle_rank_bound
+from .construct import CylinderGadget, extend_with_cylinders, nabla_formula
 from .errors import (
     BudgetExceededError,
     ConstructionInvariantError,
@@ -341,10 +341,7 @@ def _component_lower_bound(g: Graph) -> int:
                     comp.append(u)
                     queue.append(u)
         edges = sum(g.degree(v) for v in comp) // 2
-        excess = edges - len(comp) + 1
-        if excess > 0:
-            delta = max(g.degree(v) for v in comp)
-            total += -(-excess // (delta - 1))
+        total += cycle_rank_bound(len(comp), edges, max(g.degree(v) for v in comp))
     return total
 
 
@@ -442,7 +439,7 @@ def discover_gadget(
         for n in range(6, 13):
             base_n = 4 if n % 2 == 0 else 5
             s = extend_with_cylinders(base_n, bases[base_n], gadget, (n - base_n) // 2)
-            if s.cardinality != (3 * n + 1) // 2:
+            if s.cardinality != nabla_formula(FamilySpec.c4xc(n)):
                 return False
             if not residual(graphs[n], s).is_forest:
                 return False

@@ -166,3 +166,22 @@ def test_bounds_never_exceed_formula():
     )
     for spec in specs:
         assert bound_report(spec).best <= nabla_formula(spec), spec
+
+
+def test_bound_report_arithmetic_matches_the_realized_graph():
+    specs = (
+        [FamilySpec.c3xc(n) for n in range(3, 61)]
+        + [FamilySpec.c4xc(n) for n in range(4, 61)]
+        + [FamilySpec.pow2(n) for n in range(4, 61)]
+        + [FamilySpec.pow3(n) for n in range(5, 61)]
+        + [FamilySpec.powm(n, m) for m in range(1, 9) for n in range(3, 61)]
+    )
+    complete = 0
+    for spec in specs:
+        g = realize(spec)
+        report = bound_report(spec)
+        assert report.beineke_vandell == beineke_vandell(g), spec
+        assert report.clique_bound == clique_bound(g), spec
+        assert ("clique_bound" in report.notes) == (report.clique_bound is not None)
+        complete += report.clique_bound is not None
+    assert complete > 30  # the complete cases Cn^m with 2m >= n - 1 are covered

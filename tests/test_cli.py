@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decycling.certio import load, save
+from decycling.certio import dumps, load, save
 from decycling.cli import main
-from decycling.construct import decycle_cn2
+from decycling.construct import decycle_c3xn, decycle_c4xn, decycle_cn2, decycle_cn3
 from decycling.verify import VertexSet
 from dataclasses import replace
 
@@ -233,3 +237,133 @@ def test_budget_error_prints_a_best_known_bound_of_zero(capsys, monkeypatch):
     monkeypatch.setattr(cli, "min_fvs_exact", exhausted)
     code, _, err = run(capsys, "oracle", "pow2", "6")
     assert code == 3 and "best known upper bound 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (("c3xc", "7"), "8 (closed form n+1)\n"),
+        (("c4xc", "7"), "11 (closed form ceil(3n/2))\n"),
+        (("pow2", "9"), "4 (closed form ceil((n+1)/3), n = 0 mod 3)\n"),
+        (("pow2", "10"), "4 (closed form ceil((n+1)/3), n = 1 mod 3)\n"),
+        (("pow2", "11"), "5 (closed form ceil((n+1)/3)+1, n = 2 mod 3)\n"),
+        (("pow3", "10"), "6 (closed form (n+2)/2, n even)\n"),
+        (("pow3", "9"), "5 (closed form (n+1)/2, n = 1 mod 4)\n"),
+        (("pow3", "11"), "7 (closed form (n+3)/2, n = 3 mod 4)\n"),
+        (("powm", "12", "2"), "5 (closed form ceil((n+1)/3), n = 0 mod 3)\n"),
+        (("powm", "11", "2"), "5 (closed form ceil((n+1)/3)+1, n = 2 mod 3)\n"),
+        (("powm", "12", "3"), "7 (closed form (n+2)/2, n even)\n"),
+        (("powm", "13", "3"), "7 (closed form (n+1)/2, n = 1 mod 4)\n"),
+    ],
+)
+def test_nabla_prints_value_and_branch_tag(capsys, argv, stdout):
+    code, out, err = run(capsys, "nabla", *argv)
+    assert (code, out, err) == (0, stdout, "")
+
+
+def _write_document(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["family"].update(n=10.0),
+        lambda d: d.update(set=[False, 3, 6, 9]),
+        lambda d: d.update(cardinality=True),
+        lambda d: d.update(lower_bound=4.0),
+        lambda d: d.update(n_vertices=10.0),
+    ],
+    ids=["float-n", "bool-member", "bool-cardinality", "float-bound", "float-order"],
+)
+def test_verify_rejects_wrong_json_number_types(capsys, tmp_path, mutate):
+    doc = json.loads(dumps(decycle_cn2(10)))
+    mutate(doc)
+    code, out, err = run(capsys, "verify", _write_document(tmp_path / "c.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("certificate error")
+
+
+def test_verify_realizes_the_graph_once(capsys, tmp_path, monkeypatch):
+    import decycling.cli as cli
+    import decycling.verify as verify
+
+    calls = []
+
+    def counted(spec, real=cli.realize):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "realize", counted)
+    monkeypatch.setattr(verify, "realize", counted)
+    doc = json.loads(dumps(decycle_cn2(10)))
+    doc["set"].pop()
+    doc["cardinality"] -= 1
+    code, out, _ = run(capsys, "verify", _write_document(tmp_path / "c.json", doc))
+    assert code == 5 and "residual cycle:" in out
+    assert len(calls) == 1
+
+
+_BASE_DOCUMENTS = [
+    json.loads(dumps(cert))
+    for cert in (decycle_c3xn(4), decycle_c4xn(6), decycle_cn2(10), decycle_cn3(11))
+]
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 50)
+    | st.integers(-3, 50).map(float)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "n", "m", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_BASE_DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["top", "family", "set"]))
+        if where == "top":
+            owner = doc
+            key = draw(st.sampled_from(sorted(doc) + ["torus"]))
+        elif where == "family" and isinstance(doc.get("family"), dict):
+            owner = doc["family"]
+            key = draw(st.sampled_from(["kind", "n", "m"]))
+        elif where == "set" and isinstance(doc.get("set"), list) and doc["set"]:
+            owner = doc["set"]
+            key = draw(st.integers(0, len(owner) - 1))
+        else:
+            continue
+        op = draw(st.sampled_from(["replace", "retype", "delete"]))
+        value = owner.get(key) if isinstance(owner, dict) else owner[key]
+        if op == "replace":
+            owner[key] = draw(_JSON_VALUES)
+        elif op == "retype" and isinstance(value, int):
+            # The same number under another JSON type: 10 -> 10.0 or true.
+            owner[key] = draw(st.sampled_from([float(value), bool(value)]))
+        elif isinstance(owner, dict):
+            owner.pop(key, None)
+        else:
+            del owner[key]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cert.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutated_documents())
+def test_verify_fuzzed_documents_end_in_a_documented_exit_code(fuzz_path, text):
+    fuzz_path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(fuzz_path)])
+    assert code in (0, 2, 3, 4, 5)

@@ -228,3 +228,11 @@ def test_constructions_reject_out_of_range():
         decycle_cn2(3)
     with pytest.raises(InvalidParameterError):
         decycle_cn3(4)
+
+
+@pytest.mark.parametrize("kind", ["c3xc", "c4xc", "pow2", "pow3"])
+def test_closed_form_matches_construction_up_to_200(kind):
+    low = {"c3xc": 3, "c4xc": 4, "pow2": 4, "pow3": 5}[kind]
+    for n in range(low, 201):
+        spec = FamilySpec(kind, n)
+        assert nabla_formula(spec) == build_certificate(spec).cardinality, spec

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from decycling.errors import InvalidParameterError
 from decycling.graphs import (
+    FAMILY_KINDS,
     FamilySpec,
     Graph,
     TorusCoord,
@@ -246,3 +247,49 @@ def test_product_counts_property(na, nb):
     assert g.n_vertices == na * nb
     assert g.n_edges == 2 * na * nb
     assert all(g.degree(v) == 4 for v in g.vertices())
+
+
+def _every_kind_spec(n_max):
+    for kind, low in (("c3xc", 3), ("c4xc", 4), ("pow2", 4), ("pow3", 5)):
+        for n in range(low, n_max + 1):
+            yield FamilySpec(kind, n)
+    for m in range(1, 9):
+        for n in range(3, n_max + 1):
+            yield FamilySpec.powm(n, m)
+
+
+def test_order_and_degree_match_the_realized_graph():
+    for spec in _every_kind_spec(40):
+        g = realize(spec)
+        assert spec.order == g.n_vertices, spec
+        assert all(g.degree(v) == spec.degree for v in g.vertices()), spec
+
+
+def test_family_kinds_are_the_registry():
+    assert FAMILY_KINDS == ("c3xc", "c4xc", "pow2", "pow3", "powm")
+    assert [FamilySpec(kind, 12, 4 if kind == "powm" else None).describe()
+            for kind in FAMILY_KINDS] == [
+        "C3 x C12", "C4 x C12", "C12^2", "C12^3", "C12^4"
+    ]
+
+
+def test_order_and_degree_are_read_only():
+    spec = FamilySpec.c4xc(6)
+    for attr in ("order", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(spec, attr, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, n, m",
+    [
+        ("c4xc", 10.0, None),
+        ("pow2", True, None),
+        ("pow3", "9", None),
+        ("powm", 10, True),
+        ("powm", 10, 2.0),
+    ],
+)
+def test_family_spec_rejects_non_integer_parameters(kind, n, m):
+    with pytest.raises(InvalidParameterError):
+        FamilySpec(kind, n, m)
