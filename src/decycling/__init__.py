@@ -8,14 +8,13 @@ The names below are the documented API (see the README); everything else
 stays importable from its own module.
 """
 
-from .bounds import bound_report
+from .bounds import bound_report, nabla_formula
 from .construct import (
     build_certificate,
     decycle_c3xn,
     decycle_c4xn,
     decycle_cn2,
     decycle_cn3,
-    nabla_formula,
 )
 from .errors import DecyclingError
 from .graphs import FamilySpec, Graph, realize

@@ -1,16 +1,20 @@
-"""Lower bounds on the decycling number, per instance and aggregated.
+"""Lower bounds on the decycling number, per instance and aggregated, and the
+paper's closed forms.
 
 Every bound takes an explicit ceiling; real-valued inequalities are turned
 into integers here, never downstream.  Family-specific bounds reject
 parameters outside their range of validity rather than computing nonsense.
+The closed-form table `_closed_form` is the one statement of the four
+decycling numbers; `certifiable_lower_bound` joins it with the computed
+bounds into the largest lower bound a certificate may claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameterError
-from .graphs import C4XC, FamilySpec, Graph, is_connected
+from .errors import InvalidParameterError, NotCoveredError
+from .graphs import C3XC, C4XC, POW2, POW3, POWM, FamilySpec, Graph, is_connected
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -135,3 +139,52 @@ def bound_report(spec: FamilySpec) -> BoundReport:
     ]
     report.best = max(present)
     return report
+
+
+def _closed_form(spec: FamilySpec) -> tuple[int, str]:
+    """The paper's decycling number for spec, with the tag of its branch.
+
+    This table is the one statement of the four closed forms; powm with
+    m = 2 or 3 reads the square or cube rows.
+    """
+    if spec.kind == POWM:
+        try:
+            square_or_cube = FamilySpec({2: POW2, 3: POW3}.get(spec.m), spec.n)
+        except InvalidParameterError:
+            raise NotCoveredError(
+                f"no closed-form decycling number for {spec.describe()}"
+            ) from None
+        return _closed_form(square_or_cube)
+    n, kind = spec.n, spec.kind
+    if kind == C3XC:
+        return n + 1, "closed form n+1"
+    if kind == C4XC:
+        return (3 * n + 1) // 2, "closed form ceil(3n/2)"
+    if kind == POW2:
+        if n % 3 == 2:
+            return (n + 3) // 3 + 1, "closed form ceil((n+1)/3)+1, n = 2 mod 3"
+        return (n + 3) // 3, f"closed form ceil((n+1)/3), n = {n % 3} mod 3"
+    if n % 2 == 0:
+        return (n + 2) // 2, "closed form (n+2)/2, n even"
+    if n % 4 == 1:
+        return (n + 1) // 2, "closed form (n+1)/2, n = 1 mod 4"
+    return (n + 3) // 2, "closed form (n+3)/2, n = 3 mod 4"
+
+
+def nabla_formula(spec: FamilySpec) -> int:
+    """The closed-form decycling number for the four covered families."""
+    return _closed_form(spec)[0]
+
+
+def certifiable_lower_bound(spec: FamilySpec) -> int:
+    """The largest lower bound a certificate for spec may claim.
+
+    That is the best computed bound, or the closed form where it covers spec:
+    the paper proves the closed forms, and for Cn^3 with n = 0 (mod 4),
+    n >= 8, its n/2 + 1 is one above every bound computed here.
+    """
+    best = bound_report(spec).best
+    try:
+        return max(best, nabla_formula(spec))
+    except NotCoveredError:
+        return best

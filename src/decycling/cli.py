@@ -12,9 +12,9 @@ import os
 import sys
 import time
 
-from .bounds import bound_report
+from .bounds import _closed_form, bound_report, certifiable_lower_bound, nabla_formula
 from .certio import dumps, load, save
-from .construct import _closed_form, build_certificate, nabla_formula
+from .construct import build_certificate
 from .errors import (
     BudgetExceededError,
     CertificateFormatError,
@@ -31,7 +31,7 @@ from .graphs import (
     realize,
     to_dot,
 )
-from .solver import SolverConfig, min_fvs_exact
+from .solver import SolverConfig, check_vertex_budget, min_fvs_exact
 from .verify import VERIFIED, residual, verify_certificate
 
 EXIT_OK = 0
@@ -118,8 +118,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = load(args.certificate)
     # certio checked n_vertices against the family's order, so the universes agree.
-    graph = realize(cert.family)
-    if verify_certificate(cert, graph).status == VERIFIED:
+    if verify_certificate(cert).status == VERIFIED:
         print(
             f"verified: {cert.family.describe()} decycled by "
             f"{cert.cardinality} vertices (lower bound {cert.lower_bound})"
@@ -131,16 +130,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"  claimed cardinality {cert.cardinality} but the set has "
             f"{cert.vertex_set.cardinality} vertices"
         )
+    ceiling = certifiable_lower_bound(cert.family)
     if cert.lower_bound > cert.cardinality:
         print(f"  lower bound {cert.lower_bound} exceeds cardinality {cert.cardinality}")
-    report = residual(graph, cert.vertex_set)
+    elif cert.lower_bound > ceiling:
+        print(
+            f"  lower bound {cert.lower_bound} exceeds {ceiling}, the best bound "
+            f"or closed form known for {cert.family.describe()}"
+        )
+    # The report reads the stored graph: building it re-checks the family's
+    # arithmetic adjacency (in range, loop-free, symmetric) before a cycle
+    # is shown.
+    report = residual(realize(cert.family), cert.vertex_set)
     if not report.is_forest:
         cycle = " ".join(map(str, report.witness_cycle))
         print(f"  residual cycle: {cycle}")
     return EXIT_FAILED
 
 
-def _graph_from_edge_list(path: str) -> Graph:
+def _graph_from_edge_list(path: str, cfg: SolverConfig) -> Graph:
     edges = []
     n = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -150,6 +158,7 @@ def _graph_from_edge_list(path: str) -> Graph:
                 continue
             if n is None:
                 n = int(line)
+                check_vertex_budget(n, cfg)
                 continue
             u, v = line.split()
             edges.append((int(u), int(v)))
@@ -164,7 +173,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if args.family is not None:
             raise _UsageError("give either a family or --edges, not both")
         try:
-            graph = _graph_from_edge_list(args.edges)
+            graph = _graph_from_edge_list(args.edges, cfg)
         except ValueError as err:
             raise _UsageError(f"{args.edges}: {err}")
         spec = None
@@ -172,6 +181,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if args.family is None or args.n is None:
             raise _UsageError("oracle needs a family and n, or --edges PATH")
         spec = _spec_from_args(args)
+        check_vertex_budget(spec.order, cfg)
         graph = realize(spec)
     result = min_fvs_exact(graph, cfg, spec=spec)
     print(f"minimum {result.minimum}")
@@ -217,6 +227,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         row = [n, formula, bound_report(spec).best]
         if args.oracle:
             cfg = _solver_config(args)
+            check_vertex_budget(spec.order, cfg)
             start = time.perf_counter()
             result = min_fvs_exact(realize(spec), cfg, spec=spec)
             row += [result.minimum, result.nodes_explored,

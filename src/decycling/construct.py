@@ -1,10 +1,11 @@
 """Closed forms and explicit minimum decycling sets for the four families.
 
-The closed forms are stated once, in the `_closed_form` table.  Every
-construction is a pure function of its parameters, claims the table's value
-as its cardinality, re-checks that claim and its set through the verifier,
-and returns a certificate whose lower bound equals its cardinality, pinning
-the decycling number exactly.
+The closed forms are stated once, in the bounds module's `_closed_form`
+table.  Every construction is a pure function of its parameters, claims the
+table's value as its cardinality, re-checks that claim and its set through
+the verifier on the family's implicit graph (no graph is built), and returns
+a certificate whose lower bound equals its cardinality, pinning the
+decycling number exactly.
 
 The C4 x Cn base sets and the two-column cylinder gadget were derived by
 exhaustive search (see the solver module's discover_gadget, which regenerates
@@ -16,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bounds import cube_count_bound
+from .bounds import cube_count_bound, nabla_formula
 from .errors import ConstructionInvariantError, InvalidParameterError, NotCoveredError
-from .graphs import C3XC, C4XC, POW2, POW3, POWM, FamilySpec, Graph, realize
+from .graphs import C3XC, C4XC, POW2, POW3, FamilySpec
 from .verify import (
     VERIFIED,
     DecyclingCertificate,
@@ -78,7 +79,6 @@ def extend_with_cylinders(
 
 def _certify(
     spec: FamilySpec,
-    g: Graph,
     members: Iterable[int],
     method: str,
     lower_bound: int | None = None,
@@ -88,12 +88,12 @@ def _certify(
     value = nabla_formula(spec)
     cert = DecyclingCertificate(
         family=spec,
-        vertex_set=VertexSet.of(g.n_vertices, members),
+        vertex_set=VertexSet.of(spec.order, members),
         cardinality=value,
         lower_bound=value if lower_bound is None else lower_bound,
         method=method,
     )
-    cert = verify_certificate(cert, g)
+    cert = verify_certificate(cert)
     if cert.status != VERIFIED:
         raise ConstructionInvariantError(
             f"construction {method!r} failed verification for {spec.describe()}"
@@ -116,15 +116,14 @@ def alternating_row_set(n: int) -> VertexSet:
 def decycle_c3xn(n: int) -> DecyclingCertificate:
     """Minimum decycling set of C3 x Cn, cardinality n + 1."""
     spec = FamilySpec.c3xc(n)
-    g = realize(spec)
     base = alternating_row_set(n)
-    unicyclic, cycle = is_unicyclic(g, base)
+    unicyclic, cycle = is_unicyclic(spec, base)
     if not unicyclic:
         raise ConstructionInvariantError(
             f"row pattern for C3 x C{n} did not leave a unicyclic graph"
         )
     repair = min(cycle)
-    return _certify(spec, g, base.members | {repair}, "row-zigzag-plus-repair")
+    return _certify(spec, base.members | {repair}, "row-zigzag-plus-repair")
 
 
 def decycle_c4xn(n: int) -> DecyclingCertificate:
@@ -133,21 +132,19 @@ def decycle_c4xn(n: int) -> DecyclingCertificate:
     Even n grows from the C4xC4 base, odd n from the C4xC5 base, by appending
     cylinder gadget copies."""
     spec = FamilySpec.c4xc(n)
-    g = realize(spec)
     if n % 2 == 0:
         base_n, base = 4, C4XC4_BASE
     else:
         base_n, base = 5, C4XC5_BASE
     s = extend_with_cylinders(base_n, base, CYLINDER_GADGET, (n - base_n) // 2)
     return _certify(
-        spec, g, s.members, "base-plus-cylinders", lower_bound=cube_count_bound(n)
+        spec, s.members, "base-plus-cylinders", lower_bound=cube_count_bound(n)
     )
 
 
 def decycle_cn2(n: int) -> DecyclingCertificate:
     """Minimum decycling set of Cn^2: every third label, residue-adjusted."""
     spec = FamilySpec.pow2(n)
-    g = realize(spec)
     r = n % 3
     if r == 0:
         members = set(range(0, n - 2, 3)) | {n - 1}
@@ -155,13 +152,12 @@ def decycle_cn2(n: int) -> DecyclingCertificate:
         members = set(range(0, n, 3))
     else:
         members = set(range(0, n - 1, 3)) | {n - 1}
-    return _certify(spec, g, members, "spaced-thirds")
+    return _certify(spec, members, "spaced-thirds")
 
 
 def decycle_cn3(n: int) -> DecyclingCertificate:
     """Minimum decycling set of Cn^3: the block {0,1,2} plus spaced picks."""
     spec = FamilySpec.pow3(n)
-    g = realize(spec)
     members = {0, 1, 2}
     if n % 2 == 0:
         members.update(range(4, n - 1, 2))
@@ -171,42 +167,7 @@ def decycle_cn3(n: int) -> DecyclingCertificate:
     else:
         for k in range(1, (n - 3) // 4 + 1):
             members.update((4 * k, 4 * k + 1))
-    return _certify(spec, g, members, "triple-plus-pairs")
-
-
-def _closed_form(spec: FamilySpec) -> tuple[int, str]:
-    """The paper's decycling number for spec, with the tag of its branch.
-
-    This table is the one statement of the four closed forms; powm with
-    m = 2 or 3 reads the square or cube rows.
-    """
-    if spec.kind == POWM:
-        try:
-            square_or_cube = FamilySpec({2: POW2, 3: POW3}.get(spec.m), spec.n)
-        except InvalidParameterError:
-            raise NotCoveredError(
-                f"no closed-form decycling number for {spec.describe()}"
-            ) from None
-        return _closed_form(square_or_cube)
-    n, kind = spec.n, spec.kind
-    if kind == C3XC:
-        return n + 1, "closed form n+1"
-    if kind == C4XC:
-        return (3 * n + 1) // 2, "closed form ceil(3n/2)"
-    if kind == POW2:
-        if n % 3 == 2:
-            return (n + 3) // 3 + 1, "closed form ceil((n+1)/3)+1, n = 2 mod 3"
-        return (n + 3) // 3, f"closed form ceil((n+1)/3), n = {n % 3} mod 3"
-    if n % 2 == 0:
-        return (n + 2) // 2, "closed form (n+2)/2, n even"
-    if n % 4 == 1:
-        return (n + 1) // 2, "closed form (n+1)/2, n = 1 mod 4"
-    return (n + 3) // 2, "closed form (n+3)/2, n = 3 mod 4"
-
-
-def nabla_formula(spec: FamilySpec) -> int:
-    """The closed-form decycling number for the four covered families."""
-    return _closed_form(spec)[0]
+    return _certify(spec, members, "triple-plus-pairs")
 
 
 _BUILDERS = {

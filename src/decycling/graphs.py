@@ -1,10 +1,14 @@
 """Graph families under study and the structural queries everything else uses.
 
 Graphs are immutable simple undirected graphs over vertex labels
-0 .. n_vertices-1, stored as sorted per-vertex neighbor tuples.  The module
-generates plain cycles, cartesian products of cycles (toroidal grids, labeled
-row-major), and cycle powers (circulants), and realizes a ``FamilySpec`` into
-the concrete graph it names.
+0 .. n_vertices-1, stored as sorted per-vertex neighbor tuples.  A
+``FamilySpec`` is a graph too, an implicit one: it has an ``order`` and
+computes ``neighbors(v)`` from the label, so code that reads a graph only
+through those two runs on a family instance without building it.  ``realize``
+builds the stored graph from the same arithmetic.  The module also generates
+plain cycles, cartesian products of cycles (toroidal grids, labeled
+row-major), and cycle powers (circulants), the independent references the
+family adjacency is tested against.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ class Graph:
 
     @property
     def n_vertices(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def order(self) -> int:
+        """Vertex count, under the name FamilySpec also answers to."""
         return len(self.adjacency)
 
     @cached_property
@@ -208,6 +217,31 @@ class FamilySpec:
             return 4
         return min(2 * self.power, self.n - 1)
 
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Sorted neighbors of vertex v (0 <= v < order), by arithmetic on its
+        label; equal to realize(self).neighbors(v).
+
+        Tori are labeled row-major; a circulant joins labels at cyclic
+        distance 1 .. min(power, n // 2), the two directions meeting when the
+        distance is n / 2.
+        """
+        n = self.n
+        rows = self.torus_rows
+        if rows:
+            order = rows * n
+            row_start = v - v % n
+            return tuple(sorted((
+                (v - n) % order,
+                (v + n) % order,
+                row_start + (v - 1) % n,
+                row_start + (v + 1) % n,
+            )))
+        reach = min(self.power, n // 2)
+        lo, hi = v - reach, v + reach
+        if lo >= 0 and hi < n:  # no wrap: two runs of consecutive labels
+            return (*range(lo, v), *range(v + 1, hi + 1))
+        return tuple(sorted({u % n for u in range(lo, hi + 1) if u != v}))
+
     def describe(self) -> str:
         rows = self.torus_rows
         return f"C{rows} x C{self.n}" if rows else f"C{self.n}^{self.power}"
@@ -287,10 +321,7 @@ def make_cycle_power(n: int, m: int) -> Graph:
 
 def realize(spec: FamilySpec) -> Graph:
     """The concrete graph a FamilySpec names, with deterministic labels."""
-    rows = spec.torus_rows
-    if rows:
-        return cartesian_product(make_cycle(rows), make_cycle(spec.n))
-    return make_cycle_power(spec.n, spec.power)
+    return Graph(tuple(map(spec.neighbors, range(spec.order))))
 
 
 def adjacency_dump(g: Graph) -> str:

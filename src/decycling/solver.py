@@ -34,15 +34,15 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .bounds import bound_report, cycle_rank_bound
-from .construct import CylinderGadget, extend_with_cylinders, nabla_formula
+from .bounds import bound_report, cycle_rank_bound, nabla_formula
+from .construct import CylinderGadget, extend_with_cylinders
 from .errors import (
     BudgetExceededError,
     ConstructionInvariantError,
     GadgetNotFoundError,
     InvalidParameterError,
 )
-from .graphs import C4XC, FamilySpec, Graph, realize
+from .graphs import C4XC, FamilySpec, Graph
 from .verify import VERIFIED, DecyclingCertificate, VertexSet, residual
 
 ITERATIVE_DEEPENING = "iterative-deepening"
@@ -345,6 +345,15 @@ def _component_lower_bound(g: Graph) -> int:
     return total
 
 
+def check_vertex_budget(order: int, cfg: SolverConfig) -> None:
+    """Refuse a graph of this order when it is over cfg's vertex budget; a
+    caller that knows the order before building the graph checks it first."""
+    if order > cfg.vertex_budget:
+        raise BudgetExceededError(
+            f"graph order {order} exceeds vertex budget {cfg.vertex_budget}"
+        )
+
+
 def exists_fvs_of_size(
     g: Graph, k: int, cfg: SolverConfig | None = None
 ) -> VertexSet | None:
@@ -352,10 +361,7 @@ def exists_fvs_of_size(
     cfg = cfg or SolverConfig()
     if k < 0 or k > g.n_vertices:
         raise InvalidParameterError(f"k must be in [0, {g.n_vertices}], got {k}")
-    if g.n_vertices > cfg.vertex_budget:
-        raise BudgetExceededError(
-            f"graph order {g.n_vertices} exceeds vertex budget {cfg.vertex_budget}"
-        )
+    check_vertex_budget(g.n_vertices, cfg)
     witness = _Search(g, cfg).decide(k)
     return None if witness is None else VertexSet.of(g.n_vertices, witness)
 
@@ -367,15 +373,15 @@ def min_fvs_exact(
 
     When the instance is a known family, pass its spec so the search starts
     at the aggregated lower bound; otherwise the per-component cycle-rank
-    bound seeds the deepening.  A spec that does not realize to g itself is
-    rejected, since its bound need not hold for g.
+    bound seeds the deepening.  A spec whose vertices' neighbors are not
+    exactly g's is rejected, since its bound need not hold for g.
     """
     cfg = cfg or SolverConfig()
-    if g.n_vertices > cfg.vertex_budget:
-        raise BudgetExceededError(
-            f"graph order {g.n_vertices} exceeds vertex budget {cfg.vertex_budget}"
-        )
-    if spec is not None and realize(spec) != g:
+    check_vertex_budget(g.n_vertices, cfg)
+    if spec is not None and (
+        spec.order != g.n_vertices
+        or any(g.neighbors(v) != spec.neighbors(v) for v in g.vertices())
+    ):
         raise InvalidParameterError("spec does not match the supplied graph")
     start = time.perf_counter()
     search = _Search(g, cfg)
@@ -433,7 +439,6 @@ def discover_gadget(
         4: base_even.vertex_set.sorted_members(),
         5: base_odd.vertex_set.sorted_members(),
     }
-    graphs = {n: realize(FamilySpec.c4xc(n)) for n in range(6, 13)}
 
     def survives(gadget: CylinderGadget) -> bool:
         for n in range(6, 13):
@@ -441,7 +446,7 @@ def discover_gadget(
             s = extend_with_cylinders(base_n, bases[base_n], gadget, (n - base_n) // 2)
             if s.cardinality != nabla_formula(FamilySpec.c4xc(n)):
                 return False
-            if not residual(graphs[n], s).is_forest:
+            if not residual(FamilySpec.c4xc(n), s).is_forest:
                 return False
         return True
 

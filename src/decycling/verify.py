@@ -4,6 +4,12 @@ The forest test uses the edge-count/component identity (a graph is a forest
 iff |E| = |V| - #components), which doubles as the unicyclicity test.  When
 the residual graph is not a forest an explicit witness cycle is located by a
 depth-first search back edge.
+
+Every routine here reads a graph only through its ``order`` and
+``neighbors(v)``, so each takes a stored ``Graph`` or a ``FamilySpec``, whose
+neighbors are arithmetic on the label.  A certificate is checked against its
+own family without building the graph, and its lower bound is re-derived:
+it may not exceed the best computed bound or the paper's closed form.
 """
 
 from __future__ import annotations
@@ -11,8 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+from .bounds import certifiable_lower_bound
 from .errors import UniverseMismatchError
-from .graphs import FamilySpec, Graph, realize
+
+# Nothing here builds a graph; `realize` stays bound so that tests can count
+# graph builds by patching it at every import site.
+from .graphs import FamilySpec, Graph, realize  # noqa: F401
 
 UNVERIFIED = "unverified"
 VERIFIED = "verified"
@@ -103,22 +113,25 @@ class _DisjointSets:
         return True
 
 
-def _check_universe(g: Graph, s: VertexSet) -> None:
-    if s.universe_size != g.n_vertices:
+def _check_universe(g: Graph | FamilySpec, s: VertexSet) -> None:
+    if s.universe_size != g.order:
         raise UniverseMismatchError(
-            f"vertex set universe {s.universe_size} != graph order {g.n_vertices}"
+            f"vertex set universe {s.universe_size} != graph order {g.order}"
         )
 
 
-def _find_cycle(g: Graph, removed: frozenset[int]) -> tuple[int, ...] | None:
+def _find_cycle(
+    g: Graph | FamilySpec, removed: frozenset[int]
+) -> tuple[int, ...] | None:
     """One simple cycle of the residual graph, via iterative DFS back edge."""
-    n = g.n_vertices
+    n = g.order
+    neighbors = g.neighbors
     parent = [-2] * n  # -2 unvisited, -1 root
     for start in range(n):
         if start in removed or parent[start] != -2:
             continue
         parent[start] = -1
-        stack = [(start, iter(g.neighbors(start)))]
+        stack = [(start, iter(neighbors(start)))]
         while stack:
             v, it = stack[-1]
             advanced = False
@@ -136,7 +149,7 @@ def _find_cycle(g: Graph, removed: frozenset[int]) -> tuple[int, ...] | None:
                         cycle.append(w)
                     return tuple(reversed(cycle))
                 parent[u] = v
-                stack.append((u, iter(g.neighbors(u))))
+                stack.append((u, iter(neighbors(u))))
                 advanced = True
                 break
             if not advanced:
@@ -144,26 +157,31 @@ def _find_cycle(g: Graph, removed: frozenset[int]) -> tuple[int, ...] | None:
     return None
 
 
-def residual(g: Graph, s: VertexSet) -> ResidualReport:
+def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
     """Report on the subgraph induced by the vertices outside s."""
     _check_universe(g, s)
     removed = s.members
-    kept = [v for v in g.vertices() if v not in removed]
-    dsu = _DisjointSets(g.n_vertices)
+    neighbors = g.neighbors
+    n_kept = g.order - len(removed)  # s lies inside the graph's universe
+    dsu = _DisjointSets(g.order)
     n_edges = 0
-    n_components = len(kept)
-    for v in kept:
-        for u in g.neighbors(v):
+    n_components = n_kept
+    for v in range(g.order):
+        if v in removed:
+            continue
+        for u in neighbors(v):
             if u > v and u not in removed:
                 n_edges += 1
                 if dsu.union(u, v):
                     n_components -= 1
-    is_forest = n_edges == len(kept) - n_components
+    is_forest = n_edges == n_kept - n_components
     witness = None if is_forest else _find_cycle(g, removed)
-    return ResidualReport(len(kept), n_edges, n_components, is_forest, witness)
+    return ResidualReport(n_kept, n_edges, n_components, is_forest, witness)
 
 
-def is_unicyclic(g: Graph, s: VertexSet) -> tuple[bool, tuple[int, ...] | None]:
+def is_unicyclic(
+    g: Graph | FamilySpec, s: VertexSet
+) -> tuple[bool, tuple[int, ...] | None]:
     """Whether the residual graph is connected with exactly one cycle.
 
     Returns (True, the unique cycle) or (False, None).
@@ -180,9 +198,10 @@ class DecyclingCertificate:
     """A vertex set claimed to decycle one family instance.
 
     When status is "verified" the residual graph is a forest, the claimed
-    cardinality matches the set, and lower_bound <= cardinality; if
-    additionally lower_bound == cardinality the certificate pins the
-    decycling number exactly.
+    cardinality matches the set, and lower_bound is at most the cardinality
+    and at most certifiable_lower_bound(family); if additionally
+    lower_bound == cardinality the certificate pins the decycling number
+    exactly.
     """
 
     family: FamilySpec
@@ -194,18 +213,20 @@ class DecyclingCertificate:
 
 
 def verify_certificate(
-    cert: DecyclingCertificate, graph: Graph | None = None
+    cert: DecyclingCertificate, graph: Graph | FamilySpec | None = None
 ) -> DecyclingCertificate:
     """Return a copy of cert with status set by re-checking every claim.
 
-    The graph is realized from the certificate's family unless supplied.
+    The set is checked against the certificate's family, read through
+    FamilySpec.neighbors without building it, unless a graph is supplied.
     Claim mismatches produce status "failed", never an exception.
     """
-    g = realize(cert.family) if graph is None else graph
+    g = cert.family if graph is None else graph
     _check_universe(g, cert.vertex_set)
     ok = (
         cert.cardinality == cert.vertex_set.cardinality
         and cert.lower_bound <= cert.cardinality
+        and cert.lower_bound <= certifiable_lower_bound(cert.family)
         and residual(g, cert.vertex_set).is_forest
     )
     return replace(cert, status=VERIFIED if ok else FAILED)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -367,3 +368,207 @@ def test_verify_fuzzed_documents_end_in_a_documented_exit_code(fuzz_path, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", str(fuzz_path)])
     assert code in (0, 2, 3, 4, 5)
+
+
+def _count_realize_calls(monkeypatch):
+    """Route every import site of realize through a counter."""
+    import sys
+
+    import decycling.graphs as graphs
+
+    calls = []
+
+    def counted(spec, real=graphs.realize):
+        calls.append(spec)
+        return real(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "decycling" and hasattr(module, "realize"):
+            monkeypatch.setattr(module, "realize", counted)
+    return calls
+
+
+def test_verified_certificate_realizes_no_graph(capsys, tmp_path, monkeypatch):
+    paths = []
+    for family in ("c3xc", "c4xc", "pow2", "pow3"):
+        path = tmp_path / f"{family}.json"
+        assert run(capsys, "construct", family, "12", "-o", str(path))[0] == 0
+        paths.append(path)
+    calls = _count_realize_calls(monkeypatch)
+    for path in paths:
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and out.startswith("verified")
+    assert calls == []
+
+
+def test_construct_realizes_no_graph(capsys, monkeypatch):
+    calls = _count_realize_calls(monkeypatch)
+    for family in ("c3xc", "c4xc", "pow2", "pow3"):
+        assert run(capsys, "construct", family, "12")[0] == 0
+    assert calls == []
+
+
+def test_verify_rejects_a_lower_bound_above_the_decycling_number(capsys, tmp_path):
+    # The C4 x C6 construction plus 3 vertices still decycles the graph, but
+    # its claimed bound of 12 would pin a decycling number that is really 9.
+    doc = json.loads(dumps(decycle_c4xn(6)))
+    extra = [v for v in range(24) if v not in doc["set"]][:3]
+    doc.update(set=sorted(doc["set"] + extra), cardinality=12, lower_bound=12)
+    code, out, _ = run(capsys, "verify", _write_document(tmp_path / "c.json", doc))
+    assert code == 5
+    assert out == (
+        "failed: C4 x C6\n"
+        "  lower bound 12 exceeds 9, the best bound or closed form known for C4 x C6\n"
+    )
+
+
+def test_verify_accepts_the_cube_power_closed_form_bound(capsys, tmp_path):
+    # C12^3: the computed best bound is 6, the paper's value 7.
+    path = _write_document(tmp_path / "c.json", json.loads(dumps(decycle_cn3(12))))
+    code, out, _ = run(capsys, "verify", path)
+    assert (code, out) == (0, "verified: C12^3 decycled by 7 vertices (lower bound 7)\n")
+
+
+def _forbid_graph_building(monkeypatch):
+    """Fail fast, instead of exhausting memory, if a graph gets built."""
+    import decycling.cli as cli
+    from decycling.graphs import Graph
+
+    def refuse(*args):
+        raise AssertionError("a graph was built before the vertex budget check")
+
+    monkeypatch.setattr(cli, "realize", refuse)
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+
+
+def test_oracle_checks_the_vertex_budget_before_building_a_family(capsys, monkeypatch):
+    _forbid_graph_building(monkeypatch)
+    code, out, err = run(capsys, "oracle", "c4xc", str(10**12))
+    assert (code, out) == (3, "")
+    assert err == f"budget exceeded: graph order {4 * 10**12} exceeds vertex budget 64\n"
+
+
+def test_oracle_checks_the_vertex_budget_before_reading_edges(capsys, tmp_path, monkeypatch):
+    _forbid_graph_building(monkeypatch)
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{10**12}\n0 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "--edges", str(path), "--vertex-budget", "40")
+    assert (code, out) == (3, "")
+    assert err == f"budget exceeded: graph order {10**12} exceeds vertex budget 40\n"
+
+
+def test_table_oracle_checks_the_vertex_budget_first(capsys, monkeypatch):
+    _forbid_graph_building(monkeypatch)
+    code, _, err = run(capsys, "table", "c3xc", "30..31", "--oracle")
+    assert code == 3 and "graph order 90 exceeds vertex budget 64" in err
+
+
+def _exit_code(argv):
+    """cli.main's exit code, counting argparse's SystemExit, output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exit_:
+            return exit_.code
+
+
+_HUGE = str(10**12)
+
+
+@st.composite
+def _edge_list_files(draw):
+    """Edge lists on up to 9 vertices, a third of them with one defect."""
+    n = draw(st.integers(0, 9))
+    lines = [str(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        lines.append(f"{u} {v}" if u != v else f"{u} {(v + 1) % n}  # edge")
+    if draw(st.integers(0, 2)) == 0:
+        defect = draw(st.sampled_from(
+            ["", "#", "x", "3.0", "-1", "1 2 3", "7", "0 -1", f"0 {n}", _HUGE, f"0 {_HUGE}"]
+        ))
+        lines.insert(draw(st.integers(0, len(lines))), defect)
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        data += b"\xff\xfe"
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_edge_list_files(), budget=st.sampled_from([[], ["--node-budget", "300"]]))
+def test_oracle_fuzzed_edge_lists_end_in_a_documented_exit_code(fuzz_path, data, budget):
+    fuzz_path.write_bytes(data)
+    assert _exit_code(["oracle", "--edges", str(fuzz_path), *budget]) in (0, 2, 3, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """A scratch directory holding one good certificate and one edge list."""
+    root = tmp_path_factory.mktemp("argv")
+    save(decycle_cn2(7), str(root / "good.json"))
+    (root / "edges.txt").write_text("4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    return root
+
+
+_FAMILIES = st.sampled_from(["c3xc", "c4xc", "pow2", "pow3", "powm", "hexagons"])
+# Sizes stay small (n <= 8, so branch-and-bound is fast too) wherever a
+# graph, a set or a table row gets built; the huge one only reaches nabla
+# and the oracle, whose vertex budget stops it.
+_SMALL_VALUES = ["-1", "0", "3", "4", "5", "6", "7", "8", "x"]
+_SMALL = st.sampled_from(_SMALL_VALUES)
+_ANY = st.sampled_from(_SMALL_VALUES + [_HUGE])
+
+
+@st.composite
+def _argvs(draw, root):
+    files = st.sampled_from([str(root / name) for name in
+                             ("good.json", "good.json", "edges.txt", "missing.json", ".")])
+    out = st.sampled_from([str(root / "out.txt")] * 3 + [str(root)])
+    command = draw(st.sampled_from(["nabla", "construct", "verify", "oracle",
+                                    "table", "export", "bogus"]))
+    argv = [command]
+    flags = []
+    if command == "verify":
+        argv += [draw(files)]
+    elif command == "table":
+        argv += [draw(_FAMILIES),
+                 draw(st.sampled_from(["3..7", "5..8", "4..6", "9..5", "6", "1..4", "x..y"]))]
+    elif command == "oracle" and draw(st.integers(0, 3)) == 0:
+        flags += [("--edges", files)]
+    elif command != "bogus":
+        family = draw(_FAMILIES)
+        argv += [family, draw(_ANY if command in ("nabla", "oracle") else _SMALL)]
+        if draw(st.integers(0, 7)) < (6 if family == "powm" else 1):
+            argv += [draw(_SMALL)]
+    flags += {
+        "construct": [("-o", out)],
+        "export": [("--cert", files), ("--format", st.sampled_from(["dot", "adjacency", "png"])),
+                   ("-o", out)],
+    }.get(command, [])
+    if command in ("oracle", "table"):
+        flags += [("--node-budget", st.sampled_from(["-1", "1", "300", "300", "x"])),
+                  ("--vertex-budget", st.sampled_from(["0", "8", "64", "64", "x"])),
+                  ("--mode", st.sampled_from(["iterative-deepening", "branch-and-bound"] * 2
+                                             + ["bfs"]))]
+    if command == "table":
+        flags += [("--oracle", None)]
+    for flag, values in flags:
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "-x", "7", "--help"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv_dir, data):
+    argv = data.draw(_argvs(argv_dir))
+    # Relative paths an odd argv might write land in the scratch directory.
+    cwd = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        code = _exit_code(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4, 5), argv

@@ -293,3 +293,20 @@ def test_order_and_degree_are_read_only():
 def test_family_spec_rejects_non_integer_parameters(kind, n, m):
     with pytest.raises(InvalidParameterError):
         FamilySpec(kind, n, m)
+
+
+def _reference_graph(spec):
+    """The family graph from the generic builders, independent of neighbors()."""
+    if spec.torus_rows:
+        return cartesian_product(make_cycle(spec.torus_rows), make_cycle(spec.n))
+    return make_cycle_power(spec.n, spec.power)
+
+
+def test_family_neighbors_match_realize_and_the_reference_builders():
+    for spec in _every_kind_spec(40):
+        g = realize(spec)
+        assert g == _reference_graph(spec), spec
+        assert spec.order == g.order
+        for v in g.vertices():
+            assert spec.neighbors(v) == g.neighbors(v), (spec, v)
+

@@ -1,11 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_valid_witness_cycle, naive_has_cycle
-from decycling.construct import alternating_row_set
+from decycling.bounds import bound_report, certifiable_lower_bound
+from decycling.construct import alternating_row_set, decycle_c4xn, decycle_cn3
 from decycling.errors import UniverseMismatchError
 from decycling.graphs import FamilySpec, Graph, make_cycle, make_cycle_power, realize
 from decycling.verify import (
@@ -171,3 +173,64 @@ def test_forest_test_is_monotone_under_supersets(g, data):
     t = VertexSet.of(g.n_vertices, small | extra)
     if residual(g, s).is_forest:
         assert residual(g, t).is_forest
+
+
+@st.composite
+def family_specs(draw, n_max=24):
+    kind = draw(st.sampled_from(["c3xc", "c4xc", "pow2", "pow3", "powm"]))
+    low = {"c4xc": 4, "pow2": 4, "pow3": 5}.get(kind, 3)
+    n = draw(st.integers(low, n_max))
+    return FamilySpec(kind, n, draw(st.integers(1, 6)) if kind == "powm" else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_specs(), st.data())
+def test_residual_of_a_spec_equals_residual_of_its_realized_graph(spec, data):
+    members = data.draw(st.sets(st.integers(0, spec.order - 1), max_size=spec.order))
+    s = VertexSet.of(spec.order, members)
+    assert residual(spec, s) == residual(realize(spec), s)
+    assert is_unicyclic(spec, s) == is_unicyclic(realize(spec), s)
+
+
+def test_verify_certificate_reads_the_family_without_building_it():
+    cert = decycle_c4xn(7)
+    assert verify_certificate(cert, FamilySpec.c4xc(7)) == verify_certificate(cert)
+    assert verify_certificate(cert, realize(FamilySpec.c4xc(7))) == verify_certificate(cert)
+    with pytest.raises(UniverseMismatchError):
+        verify_certificate(cert, FamilySpec.c4xc(8))
+
+
+def test_verify_certificate_rejects_a_lower_bound_nothing_derives():
+    # A superset of the C4 x C6 construction is a decycling set, but its
+    # claimed bound of 12 is above the decycling number 9.
+    cert = decycle_c4xn(6)
+    extra = [v for v in range(24) if v not in cert.vertex_set][:3]
+    padded = DecyclingCertificate(
+        cert.family,
+        VertexSet.of(24, cert.vertex_set.members | set(extra)),
+        12,
+        12,
+        "test",
+    )
+    assert certifiable_lower_bound(cert.family) == 9
+    assert verify_certificate(padded).status == FAILED
+    assert verify_certificate(replace(padded, lower_bound=9)).status == VERIFIED
+
+
+def test_cube_power_lower_bound_comes_from_the_closed_form():
+    # Cn^3, n = 0 mod 4: the paper's n/2 + 1 is one above every computed bound.
+    for n in (8, 12, 16, 100):
+        spec = FamilySpec.pow3(n)
+        assert bound_report(spec).best == n // 2
+        assert certifiable_lower_bound(spec) == n // 2 + 1
+        assert verify_certificate(decycle_cn3(n)).status == VERIFIED
+    cert = decycle_cn3(12)
+    assert verify_certificate(replace(cert, lower_bound=8)).status == FAILED
+
+
+def test_uncovered_powers_take_the_computed_bound():
+    spec = FamilySpec.powm(12, 4)
+    assert certifiable_lower_bound(spec) == bound_report(spec).best == 8
+    cert = DecyclingCertificate(spec, VertexSet.of(12, range(10)), 10, 8, "test")
+    assert verify_certificate(cert).status == VERIFIED
+    assert verify_certificate(replace(cert, lower_bound=9)).status == FAILED
