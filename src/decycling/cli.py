@@ -115,6 +115,23 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.status == VERIFIED else EXIT_FAILED
 
 
+def _check_witness(
+    spec: FamilySpec, removed: frozenset[int], cycle: tuple[int, ...]
+) -> None:
+    """Refuse to show a witness that is not a cycle of the residual graph."""
+    if not (
+        len(cycle) >= 3
+        and len(set(cycle)) == len(cycle)
+        and all(0 <= v < spec.order for v in cycle)
+        and removed.isdisjoint(cycle)
+        and all(b in spec.neighbors(a) and a in spec.neighbors(b)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    ):
+        raise ConstructionInvariantError(
+            f"residual witness {cycle[:12]} is not a cycle of {spec.describe()}"
+        )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = load(args.certificate)
     # certio checked n_vertices against the family's order, so the universes agree.
@@ -138,17 +155,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"  lower bound {cert.lower_bound} exceeds {ceiling}, the best bound "
             f"or closed form known for {cert.family.describe()}"
         )
-    # The report reads the stored graph: building it re-checks the family's
-    # arithmetic adjacency (in range, loop-free, symmetric) before a cycle
-    # is shown.
-    report = residual(realize(cert.family), cert.vertex_set)
+    report = residual(cert.family, cert.vertex_set)
     if not report.is_forest:
+        _check_witness(cert.family, cert.vertex_set.members, report.witness_cycle)
         cycle = " ".join(map(str, report.witness_cycle))
         print(f"  residual cycle: {cycle}")
     return EXIT_FAILED
 
 
-def _graph_from_edge_list(path: str, cfg: SolverConfig) -> Graph:
+def _read_edge_list(path: str, cfg: SolverConfig) -> tuple[int, list[tuple[int, int]]]:
     edges = []
     n = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -164,7 +179,7 @@ def _graph_from_edge_list(path: str, cfg: SolverConfig) -> Graph:
             edges.append((int(u), int(v)))
     if n is None:
         raise _UsageError(f"{path}: empty edge list")
-    return Graph.from_edges(n, edges)
+    return n, edges
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -173,9 +188,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if args.family is not None:
             raise _UsageError("give either a family or --edges, not both")
         try:
-            graph = _graph_from_edge_list(args.edges, cfg)
+            n, edges = _read_edge_list(args.edges, cfg)
         except ValueError as err:
             raise _UsageError(f"{args.edges}: {err}")
+        # A parsed list with a bad vertex count or edge is out of range (exit 3).
+        graph = Graph.from_edges(n, edges)
         spec = None
     else:
         if args.family is None or args.n is None:

@@ -2,13 +2,13 @@
 
 Graphs are immutable simple undirected graphs over vertex labels
 0 .. n_vertices-1, stored as sorted per-vertex neighbor tuples.  A
-``FamilySpec`` is a graph too, an implicit one: it has an ``order`` and
-computes ``neighbors(v)`` from the label, so code that reads a graph only
-through those two runs on a family instance without building it.  ``realize``
-builds the stored graph from the same arithmetic.  The module also generates
-plain cycles, cartesian products of cycles (toroidal grids, labeled
-row-major), and cycle powers (circulants), the independent references the
-family adjacency is tested against.
+``FamilySpec`` is a graph too, an implicit one: it has an ``order``, computes
+``neighbors(v)`` from the label and lists ``edges()`` as arithmetic runs of
+labels, so code that reads a graph only through those three runs on a family
+instance without building it.  ``realize`` builds the stored graph from
+``neighbors(v)``.  The module also generates plain cycles, cartesian products
+of cycles (toroidal grids, labeled row-major), and cycle powers (circulants),
+the independent references the family adjacency is tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidParameterError
@@ -241,6 +242,24 @@ class FamilySpec:
         if lo >= 0 and hi < n:  # no wrap: two runs of consecutive labels
             return (*range(lo, v), *range(v + 1, hi + 1))
         return tuple(sorted({u % n for u in range(lo, hi + 1) if u != v}))
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Every edge once, as zipped label runs: the edges of realize(self)
+        in another order and orientation.  A torus has one run of vertical
+        edges v ~ v + n (mod order) and one run per row; a circulant has one
+        run i ~ i + d (mod n) per distance d, of n / 2 pairs when 2d = n."""
+        n = self.n
+        rows = self.torus_rows
+        if rows:
+            order = rows * n
+            runs = [zip(range(order), chain(range(n, order), range(n)))]
+            runs += (zip(range(r, r + n), chain(range(r + 1, r + n), (r,)))
+                     for r in range(0, order, n))
+        else:
+            runs = (zip(range(n // 2 if 2 * d == n else n),
+                        chain(range(d, n), range(d)))
+                    for d in range(1, min(self.power, n // 2) + 1))
+        return chain.from_iterable(runs)
 
     def describe(self) -> str:
         rows = self.torus_rows

@@ -1,15 +1,17 @@
 """Acyclicity checking of vertex-deleted subgraphs and certificate validation.
 
 The forest test uses the edge-count/component identity (a graph is a forest
-iff |E| = |V| - #components), which doubles as the unicyclicity test.  When
-the residual graph is not a forest an explicit witness cycle is located by a
-depth-first search back edge.
+iff |E| = |V| - #components), which doubles as the unicyclicity test; one
+union-find pass over the graph's edges counts both.  When the residual graph
+is not a forest an explicit witness cycle is located by a depth-first search
+back edge.
 
-Every routine here reads a graph only through its ``order`` and
-``neighbors(v)``, so each takes a stored ``Graph`` or a ``FamilySpec``, whose
-neighbors are arithmetic on the label.  A certificate is checked against its
-own family without building the graph, and its lower bound is re-derived:
-it may not exceed the best computed bound or the paper's closed form.
+Every routine here reads a graph only through its ``order``, ``edges()`` (to
+count) and ``neighbors(v)`` (to find a witness), so each takes a stored
+``Graph`` or a ``FamilySpec``, whose edges and neighbors are arithmetic on the
+labels.  A certificate is checked against its own family without building
+the graph, and its lower bound is re-derived: it may not exceed the best
+computed bound or the paper's closed form.
 """
 
 from __future__ import annotations
@@ -90,29 +92,6 @@ class ResidualReport:
         return self.n_components == 1
 
 
-class _DisjointSets:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def _check_universe(g: Graph | FamilySpec, s: VertexSet) -> None:
     if s.universe_size != g.order:
         raise UniverseMismatchError(
@@ -158,25 +137,30 @@ def _find_cycle(
 
 
 def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
-    """Report on the subgraph induced by the vertices outside s."""
+    """Report on the subgraph induced by the vertices outside s: one
+    path-halving union-find pass over g.edges() counts its edges and
+    components, and a witness cycle is searched for only off a forest."""
     _check_universe(g, s)
     removed = s.members
-    neighbors = g.neighbors
+    keep = bytearray(b"\x01") * g.order
+    for v in removed:
+        keep[v] = 0
+    parent = list(range(g.order))
+    n_edges = merges = 0
+    for u, v in g.edges():
+        if keep[u] and keep[v]:
+            n_edges += 1
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                merges += 1
     n_kept = g.order - len(removed)  # s lies inside the graph's universe
-    dsu = _DisjointSets(g.order)
-    n_edges = 0
-    n_components = n_kept
-    for v in range(g.order):
-        if v in removed:
-            continue
-        for u in neighbors(v):
-            if u > v and u not in removed:
-                n_edges += 1
-                if dsu.union(u, v):
-                    n_components -= 1
-    is_forest = n_edges == n_kept - n_components
+    is_forest = n_edges == merges
     witness = None if is_forest else _find_cycle(g, removed)
-    return ResidualReport(n_kept, n_edges, n_components, is_forest, witness)
+    return ResidualReport(n_kept, n_edges, n_kept - merges, is_forest, witness)
 
 
 def is_unicyclic(

@@ -11,7 +11,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from decycling.graphs import FamilySpec, Graph
+from decycling.graphs import (
+    FamilySpec,
+    Graph,
+    cartesian_product,
+    make_cycle,
+    make_cycle_power,
+)
 from decycling.verify import DecyclingCertificate, VertexSet
 
 
@@ -102,3 +108,32 @@ def residual_is_single_path(g: Graph, removed: frozenset[int]) -> bool:
     if n_edges != len(kept) - 1:
         return False
     return not naive_has_cycle(g, removed) and degs.count(1) in (0, 2)
+
+
+def naive_residual_counts(g, removed: frozenset[int]) -> tuple[int, int]:
+    """(edges, components) of g minus removed, by breadth-first search over
+    g.neighbors; g is anything with an order and neighbors(v)."""
+    seen = set(removed)
+    degree_sum = components = 0
+    for start in range(g.order):
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = [start]
+        for v in queue:
+            for u in g.neighbors(v):
+                if u not in removed:
+                    degree_sum += 1
+                    if u not in seen:
+                        seen.add(u)
+                        queue.append(u)
+    return degree_sum // 2, components
+
+
+def reference_graph(spec: FamilySpec) -> Graph:
+    """The family graph from the generic builders, independent of the
+    family's own neighbors() and edges()."""
+    if spec.torus_rows:
+        return cartesian_product(make_cycle(spec.torus_rows), make_cycle(spec.n))
+    return make_cycle_power(spec.n, spec.power)

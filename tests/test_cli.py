@@ -2,15 +2,25 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_valid_witness_cycle, reference_graph
 from decycling.certio import dumps, load, save
 from decycling.cli import main
-from decycling.construct import decycle_c3xn, decycle_c4xn, decycle_cn2, decycle_cn3
-from decycling.verify import VertexSet
+from decycling.construct import (
+    build_certificate,
+    decycle_c3xn,
+    decycle_c4xn,
+    decycle_cn2,
+    decycle_cn3,
+)
+from decycling.graphs import FamilySpec, realize
+from decycling.verify import VertexSet, residual
 from dataclasses import replace
 
 
@@ -303,7 +313,7 @@ def test_verify_realizes_the_graph_once(capsys, tmp_path, monkeypatch):
     doc["cardinality"] -= 1
     code, out, _ = run(capsys, "verify", _write_document(tmp_path / "c.json", doc))
     assert code == 5 and "residual cycle:" in out
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 _BASE_DOCUMENTS = [
@@ -572,3 +582,85 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(argv_dir, data):
     finally:
         os.chdir(cwd)
     assert code in (0, 2, 3, 4, 5), argv
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("5\n0 1\n1 7\n", 3),
+        ("3\n0 1\n2 2\n", 3),
+        ("-1\n", 3),
+        ("3\n0 x\n", 2),
+        ("3\n0 1 2\n", 2),
+    ],
+    ids=["edge-out-of-range", "self-loop", "negative-count", "non-integer", "three-fields"],
+)
+def test_oracle_edge_list_exit_codes(capsys, tmp_path, text, expected):
+    path = tmp_path / "edges.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "--edges", str(path))
+    assert (code, out) == (expected, "")
+    assert err.startswith("out of range: " if expected == 3 else "usage error: ")
+
+
+def _tampered_document(spec, tmp_path):
+    """A certificate for spec missing one member of its constructed set."""
+    doc = json.loads(dumps(build_certificate(spec)))
+    del doc["set"][len(doc["set"]) // 2]
+    doc["cardinality"] -= 1
+    return _write_document(tmp_path / "tampered.json", doc), frozenset(doc["set"])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec.c3xc(501), FamilySpec.c4xc(500), FamilySpec.pow2(500), FamilySpec.pow3(501)],
+    ids=str,
+)
+def test_rejected_certificate_prints_a_residual_witness_at_scale(capsys, tmp_path, spec):
+    path, removed = _tampered_document(spec, tmp_path)
+    code, out, _ = run(capsys, "verify", path)
+    lines = [line for line in out.splitlines() if line.startswith("  residual cycle: ")]
+    assert code == 5 and len(lines) == 1
+    cycle = tuple(int(v) for v in lines[0].split(":")[1].split())
+    s = VertexSet.of(spec.order, removed)
+    assert cycle == residual(realize(spec), s).witness_cycle
+    assert_valid_witness_cycle(reference_graph(spec), removed, cycle)
+
+
+# Witnesses for C10^2 minus {0, 3, 9}: too short, a repeat, out of range,
+# through the set, and a non-adjacent pair (4, 8).
+_BAD_WITNESSES = [(1, 2), (1, 2, 1), (7, 8, 10), (1, 2, 3), (1, 2, 4, 8)]
+
+
+@pytest.mark.parametrize("bad", _BAD_WITNESSES, ids=str)
+def test_verify_refuses_to_print_a_witness_that_is_not_a_cycle(
+    capsys, tmp_path, monkeypatch, bad
+):
+    import decycling.verify as verify
+
+    monkeypatch.setattr(verify, "_find_cycle", lambda g, removed: bad)
+    path, removed = _tampered_document(FamilySpec.pow2(10), tmp_path)
+    assert removed == {0, 3, 9}
+    code, out, err = run(capsys, "verify", path)
+    assert code == 5 and "residual cycle" not in out
+    assert err.startswith("construction failed verification: residual witness")
+
+
+def test_witness_guard_holds_under_optimization(tmp_path):
+    import decycling
+
+    path, _ = _tampered_document(FamilySpec.pow2(10), tmp_path)
+    script = (
+        "import runpy, sys\n"
+        "import decycling.verify as verify\n"
+        f"verify._find_cycle = lambda g, removed: {_BAD_WITNESSES[-1]!r}\n"
+        f"sys.argv = ['decycling', 'verify', {path!r}]\n"
+        "runpy.run_module('decycling', run_name='__main__')\n"
+    )
+    src = os.path.dirname(os.path.dirname(decycling.__file__))
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 5 and "residual cycle" not in proc.stdout
+    assert proc.stderr.startswith("construction failed verification: residual witness")

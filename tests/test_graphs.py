@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_graph
 from decycling.errors import InvalidParameterError
 from decycling.graphs import (
     FAMILY_KINDS,
@@ -295,11 +296,7 @@ def test_family_spec_rejects_non_integer_parameters(kind, n, m):
         FamilySpec(kind, n, m)
 
 
-def _reference_graph(spec):
-    """The family graph from the generic builders, independent of neighbors()."""
-    if spec.torus_rows:
-        return cartesian_product(make_cycle(spec.torus_rows), make_cycle(spec.n))
-    return make_cycle_power(spec.n, spec.power)
+_reference_graph = reference_graph  # the name the neighbors test reads
 
 
 def test_family_neighbors_match_realize_and_the_reference_builders():
@@ -310,3 +307,11 @@ def test_family_neighbors_match_realize_and_the_reference_builders():
         for v in g.vertices():
             assert spec.neighbors(v) == g.neighbors(v), (spec, v)
 
+
+def test_family_edges_list_every_edge_once():
+    # Covers 2d = n runs (even n <= 2m) and complete circulants (n - 1 <= 2m).
+    for spec in _every_kind_spec(40):
+        pairs = [(min(e), max(e)) for e in spec.edges()]
+        assert len(set(pairs)) == len(pairs), spec
+        assert sorted(pairs) == list(realize(spec).edges()), spec
+        assert sorted(pairs) == list(reference_graph(spec).edges()), spec

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_valid_witness_cycle, naive_has_cycle
+from conftest import assert_valid_witness_cycle, naive_has_cycle, naive_residual_counts
 from decycling.bounds import bound_report, certifiable_lower_bound
 from decycling.construct import alternating_row_set, decycle_c4xn, decycle_cn3
 from decycling.errors import UniverseMismatchError
@@ -234,3 +234,12 @@ def test_uncovered_powers_take_the_computed_bound():
     cert = DecyclingCertificate(spec, VertexSet.of(12, range(10)), 10, 8, "test")
     assert verify_certificate(cert).status == VERIFIED
     assert verify_certificate(replace(cert, lower_bound=9)).status == FAILED
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), family_specs()), st.data())
+def test_residual_counts_match_a_breadth_first_count(g, data):
+    members = frozenset(data.draw(st.sets(st.integers(0, g.order - 1), max_size=g.order)))
+    report = residual(g, VertexSet.of(g.order, members))
+    assert report.n_vertices_left == g.order - len(members)
+    assert (report.n_edges_left, report.n_components) == naive_residual_counts(g, members)
