@@ -1,9 +1,17 @@
 """Exact minimum feedback-vertex-set search for desk-scale graphs.
 
-Iterative deepening starts at the best known lower bound for the instance and
-asks, for growing k, whether some k vertices decycle the graph.  The decision
-search branches on a currently-shortest residual cycle (every decycling set
-must hit every cycle) after exhaustively applying three reductions:
+The minimum is bracketed by a lower bound lo, seeded with the best known bound,
+and the smallest decycling set found.  Each step asks the decision search for
+a set of at most k vertices: k = lo while no set is known (iterative deepening,
+the default), else one below the set (branch-and-bound starts from the greedy
+set).  A refutation raises lo to k + 1, a success shrinks the set, so a seed
+that overshot is pushed down to a refutation.  Optimality assumes the seed is
+a true lower bound: the push-down recovers only when a probe returns a set
+smaller than asked for (deepening on C12^3 seeded 3 high reports 9, not 7).
+
+The decision search branches on a currently-shortest residual cycle (every
+decycling set must hit every cycle) after exhaustively applying three
+reductions:
 
 * vertices of degree <= 1 are deleted,
 * a vertex carrying a self-loop is forced into the set,
@@ -141,15 +149,11 @@ class _Search:
         self.graph = g
         self.cfg = cfg
         self.nodes = 0
-        self.best: list[int] | None = None  # branch-and-bound incumbent
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.cfg.node_budget:
-            best = len(self.best) if self.best is not None else None
-            raise BudgetExceededError(
-                f"node budget {self.cfg.node_budget} exceeded", best_known=best
-            )
+            raise BudgetExceededError(f"node budget {self.cfg.node_budget} exceeded")
 
     def _reduce(
         self, adj: Adj, forbidden: frozenset[int], chosen: list[int], k: int
@@ -289,39 +293,6 @@ class _Search:
     def decide(self, k: int) -> list[int] | None:
         return self._decide(_to_multigraph(self.graph), k, frozenset())
 
-    def _bnb(self, adj: Adj, taken: list[int], forbidden: frozenset[int]) -> None:
-        self._tick()
-        room = len(self.best) - 1 - len(taken)
-        if room < 0:
-            return
-        chosen = list(taken)
-        if self.cfg.use_reductions:
-            room = self._reduce(adj, forbidden, chosen, room)
-            if room is None:
-                return
-        if not adj:
-            self.best = chosen
-            return
-        if _rank_exceeds(adj, room, forbidden):
-            return
-        cycle = self._find_cycle(adj)
-        if cycle is None:
-            self.best = chosen
-            return
-        blocked = set(forbidden)
-        for v in sorted(cycle):
-            if v in blocked:
-                continue
-            child = _copy(adj)
-            _delete(child, v)
-            self._bnb(child, chosen + [v], frozenset(blocked))
-            blocked.add(v)
-
-    def minimize(self, incumbent: list[int]) -> list[int]:
-        self.best = list(incumbent)
-        self._bnb(_to_multigraph(self.graph), [], frozenset())
-        return self.best
-
 
 def _component_lower_bound(g: Graph) -> int:
     """Sum of per-component cycle-rank bounds; sound for any simple graph."""
@@ -373,7 +344,7 @@ def min_fvs_exact(
 
     When the instance is a known family, pass its spec so the search starts
     at the aggregated lower bound; otherwise the per-component cycle-rank
-    bound seeds the deepening.  A spec whose vertices' neighbors are not
+    bound seeds the search.  A spec whose vertices' neighbors are not
     exactly g's is rejected, since its bound need not hold for g.
     """
     cfg = cfg or SolverConfig()
@@ -386,27 +357,21 @@ def min_fvs_exact(
     start = time.perf_counter()
     search = _Search(g, cfg)
     incumbent = greedy_decycling(g)
+    lo = bound_report(spec).best if spec else _component_lower_bound(g)
+    witness = incumbent.sorted_members() if cfg.mode == BRANCH_AND_BOUND else None
     try:
-        if cfg.mode == BRANCH_AND_BOUND:
-            witness = search.minimize(incumbent.sorted_members())
-        else:
-            lower = bound_report(spec).best if spec else _component_lower_bound(g)
-            witness = None
-            for k in range(lower, g.n_vertices + 1):
-                witness = search.decide(k)
-                if witness is not None:
-                    break
-            # A witness smaller than k means the seed bound overshot the true
-            # minimum (the deepening already refuted every smaller k it tried);
-            # push down until a refutation proves optimality.
-            while witness and len(witness) < k:
-                k = len(witness)
-                smaller = search.decide(k - 1)
-                if smaller is None:
-                    break
-                witness = smaller
+        # A witness below lo means the seed overshot; the probes below it push
+        # down to a refutation.  An empty witness is minimal and ends the loop.
+        while witness is None or 0 < len(witness) != lo:
+            k = lo if witness is None else len(witness) - 1
+            found = search.decide(k)
+            if found is None:
+                lo = k + 1
+            else:
+                witness = found
     except BudgetExceededError as err:
-        best = incumbent.cardinality if err.best_known is None else err.best_known
+        upper = incumbent.cardinality if witness is None else len(witness)
+        best = upper if err.best_known is None else err.best_known
         raise BudgetExceededError(str(err), best_known=best) from None
     result_set = VertexSet.of(g.n_vertices, witness)
     if not residual(g, result_set).is_forest:

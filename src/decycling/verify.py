@@ -20,11 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .bounds import certifiable_lower_bound
-from .errors import UniverseMismatchError
-
-# Nothing here builds a graph; `realize` stays bound so that tests can count
-# graph builds by patching it at every import site.
-from .graphs import FamilySpec, Graph, realize  # noqa: F401
+from .errors import ConstructionInvariantError, UniverseMismatchError
+from .graphs import FamilySpec, Graph
 
 UNVERIFIED = "unverified"
 VERIFIED = "verified"
@@ -196,21 +193,50 @@ class DecyclingCertificate:
     status: str = UNVERIFIED
 
 
+def _check_witness(
+    g: Graph | FamilySpec, removed: frozenset[int], cycle: tuple[int, ...] | None
+) -> None:
+    """Refuse to show a witness that is not a cycle of the residual graph."""
+    if not (
+        cycle is not None
+        and len(cycle) >= 3
+        and len(set(cycle)) == len(cycle)
+        and all(0 <= v < g.order for v in cycle)
+        and removed.isdisjoint(cycle)
+        and all(b in g.neighbors(a) and a in g.neighbors(b)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    ):
+        raise ConstructionInvariantError(
+            f"residual witness {cycle and cycle[:12]} is not a cycle of the graph"
+        )
+
+
+def certificate_problems(
+    cert: DecyclingCertificate, graph: Graph | FamilySpec | None = None
+) -> list[str]:
+    """One line per claim of cert that does not hold, checked on the family
+    without building it unless a graph is supplied; empty when all hold."""
+    g = cert.family if graph is None else graph
+    report = residual(g, cert.vertex_set)
+    size, bound, problems = cert.cardinality, cert.lower_bound, []
+    if size != cert.vertex_set.cardinality:
+        problems.append(f"claimed cardinality {size} but the set has "
+                        f"{cert.vertex_set.cardinality} vertices")
+    if bound > size:
+        problems.append(f"lower bound {bound} exceeds cardinality {size}")
+    elif bound > (ceiling := certifiable_lower_bound(cert.family)):
+        problems.append(f"lower bound {bound} exceeds {ceiling}, the best bound "
+                        f"or closed form known for {cert.family.describe()}")
+    if not report.is_forest:
+        _check_witness(g, cert.vertex_set.members, report.witness_cycle)
+        problems.append(f"residual cycle: {' '.join(map(str, report.witness_cycle))}")
+    return problems
+
+
 def verify_certificate(
     cert: DecyclingCertificate, graph: Graph | FamilySpec | None = None
 ) -> DecyclingCertificate:
-    """Return a copy of cert with status set by re-checking every claim.
-
-    The set is checked against the certificate's family, read through
-    FamilySpec.neighbors without building it, unless a graph is supplied.
-    Claim mismatches produce status "failed", never an exception.
-    """
-    g = cert.family if graph is None else graph
-    _check_universe(g, cert.vertex_set)
-    ok = (
-        cert.cardinality == cert.vertex_set.cardinality
-        and cert.lower_bound <= cert.cardinality
-        and cert.lower_bound <= certifiable_lower_bound(cert.family)
-        and residual(g, cert.vertex_set).is_forest
-    )
+    """Return a copy of cert with status set by certificate_problems; claim
+    mismatches produce status "failed", never an exception."""
+    ok = not certificate_problems(cert, graph)
     return replace(cert, status=VERIFIED if ok else FAILED)

@@ -297,17 +297,7 @@ def test_verify_rejects_wrong_json_number_types(capsys, tmp_path, mutate):
 
 
 def test_verify_realizes_the_graph_once(capsys, tmp_path, monkeypatch):
-    import decycling.cli as cli
-    import decycling.verify as verify
-
-    calls = []
-
-    def counted(spec, real=cli.realize):
-        calls.append(spec)
-        return real(spec)
-
-    monkeypatch.setattr(cli, "realize", counted)
-    monkeypatch.setattr(verify, "realize", counted)
+    calls = _count_realize_calls(monkeypatch)
     doc = json.loads(dumps(decycle_cn2(10)))
     doc["set"].pop()
     doc["cardinality"] -= 1
@@ -664,3 +654,48 @@ def test_witness_guard_holds_under_optimization(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 5 and "residual cycle" not in proc.stdout
     assert proc.stderr.startswith("construction failed verification: residual witness")
+
+
+def test_oracle_branch_and_bound_needs_no_node_when_the_greedy_set_meets_the_bound(capsys):
+    code, out, err = run(capsys, "oracle", "c4xc", "5", "--node-budget", "3",
+                         "--mode", "branch-and-bound")
+    assert (code, err) == (0, "")
+    assert out.startswith("minimum 8\n")
+
+
+def _member_dropped_document(spec, tmp_path):
+    """A tampered certificate whose cardinality and lower bound both still
+    hold, so that only the residual check can reject it."""
+    path, removed = _tampered_document(spec, tmp_path)
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["lower_bound"] = min(doc["lower_bound"], doc["cardinality"])
+    return _write_document(tmp_path / "adjusted.json", doc), removed
+
+
+def test_rejected_verify_walks_the_residual_once(capsys, tmp_path, monkeypatch):
+    import decycling.verify as verify
+
+    path, _ = _member_dropped_document(FamilySpec.pow2(10), tmp_path)
+    calls = []
+
+    def counted(g, s, real=verify.residual):
+        calls.append(s)
+        return real(g, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "decycling" and hasattr(module, "residual"):
+            monkeypatch.setattr(module, "residual", counted)
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 5 and out.startswith("failed: C10^2\n  residual cycle: ")
+    assert len(calls) == 1
+
+
+def test_verify_refuses_a_missing_witness_on_a_non_forest(capsys, tmp_path, monkeypatch):
+    import decycling.verify as verify
+
+    monkeypatch.setattr(verify, "_find_cycle", lambda g, removed: None)
+    path, _ = _member_dropped_document(FamilySpec.pow2(10), tmp_path)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 5 and "residual cycle" not in out
+    assert err.startswith("construction failed verification: residual witness None")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_has_cycle, naive_min_fvs
+from decycling.bounds import bound_report
 from decycling.construct import CYLINDER_GADGET, decycle_c4xn, decycle_cn2, nabla_formula
 from decycling.errors import (
     BudgetExceededError,
@@ -15,6 +16,7 @@ from decycling.errors import (
 from decycling.graphs import FamilySpec, Graph, graph_power, make_cycle, realize
 from decycling.solver import (
     SolverConfig,
+    _component_lower_bound,
     _Search,
     discover_gadget,
     exists_fvs_of_size,
@@ -302,3 +304,59 @@ def test_oracle_confirms_formula_beyond_the_acceptance_grid():
     ]:
         result = min_fvs_exact(realize(spec), cfg, spec=spec)
         assert result.minimum == nabla_formula(spec), spec
+
+
+def test_branch_and_bound_stops_when_the_greedy_set_meets_the_seed_bound():
+    # The greedy set of C4 x C9 has 14 vertices, the seed bound is 14: no
+    # search node is needed, so a small budget suffices.
+    spec = FamilySpec.c4xc(9)
+    cfg = SolverConfig(mode="branch-and-bound", node_budget=1_000)
+    result = min_fvs_exact(realize(spec), cfg, spec=spec)
+    assert result.minimum == 14
+    assert residual(spec, result.witness).is_forest
+
+
+@pytest.mark.parametrize("mode", ["iterative-deepening", "branch-and-bound"])
+def test_a_seed_above_the_minimum_is_pushed_down(monkeypatch, mode):
+    # Seeded at 11, decide(11) on C4 x C5 returns a 9-set; only probing below
+    # the witness until a refutation reaches the true minimum 8.
+    import types
+
+    import decycling.solver as solver
+
+    real = solver.bound_report
+    monkeypatch.setattr(
+        solver, "bound_report", lambda spec: types.SimpleNamespace(best=real(spec).best + 3)
+    )
+    spec = FamilySpec.c4xc(5)
+    result = min_fvs_exact(realize(spec), SolverConfig(mode=mode), spec=spec)
+    assert result.minimum == 8 and result.witness.cardinality == 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_component_lower_bound_never_exceeds_the_minimum(data):
+    n = data.draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True))
+    g = Graph.from_edges(n, edges)
+    assert _component_lower_bound(g) <= naive_min_fvs(g)[0], edges
+
+
+def _small_family_instances(max_order):
+    specs = [FamilySpec(kind, n) for kind in ("c3xc", "c4xc", "pow2", "pow3")
+             for n in range(3, max_order + 1)
+             if n >= {"c3xc": 3, "c4xc": 4, "pow2": 4, "pow3": 5}[kind]]
+    # Every power m >= n // 2 gives the complete graph.
+    specs += [FamilySpec.powm(n, m) for n in range(3, max_order + 1)
+              for m in range(1, n // 2 + 1)]
+    return [spec for spec in specs if spec.order <= max_order]
+
+
+def test_seed_bounds_never_exceed_the_minimum_on_small_family_instances():
+    minima = {}
+    for spec in _small_family_instances(14):
+        g = realize(spec)
+        if g.adjacency not in minima:
+            minima[g.adjacency] = naive_min_fvs(g)[0]
+        assert bound_report(spec).best <= minima[g.adjacency], spec
