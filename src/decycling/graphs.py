@@ -35,7 +35,9 @@ class _Family(NamedTuple):
     power: int | None  # fixed exponent for Cn^power; powm takes the spec's m
 
 
-# The family registry: every per-kind fact FamilySpec derives from.
+# The family registry: every per-kind fact FamilySpec derives from.  Every
+# kind must be a Cayley graph of Z_rows x Z_n or Z_n on these labels (so
+# vertex-transitive): solver.min_fvs_exact puts vertex 0 in the set it seeks.
 _REGISTRY = {
     C3XC: _Family(3, 3, None),
     C4XC: _Family(4, 4, None),

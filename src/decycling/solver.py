@@ -10,7 +10,12 @@ a true lower bound: the push-down recovers only when a probe returns a set
 smaller than asked for (deepening on C12^3 seeded 3 high reports 9, not 7).
 
 The decision search branches on a currently-shortest residual cycle (every
-decycling set must hit every cycle) after exhaustively applying three
+decycling set must hit every cycle), trying its vertices by descending
+multigraph degree, so a success tends to come on the first branch.  A family
+graph is a Cayley graph, hence vertex-transitive: an automorphism maps a
+minimum set onto one holding vertex 0.  So when min_fvs_exact is given a
+family spec (and only then), asking for k >= 1 vertices deletes vertex 0 and
+asks for k - 1.  Branching happens after exhaustively applying three
 reductions:
 
 * vertices of degree <= 1 are deleted,
@@ -145,9 +150,10 @@ def greedy_decycling(g: Graph) -> VertexSet:
 
 
 class _Search:
-    def __init__(self, g: Graph, cfg: SolverConfig):
+    def __init__(self, g: Graph, cfg: SolverConfig, anchor: bool = False):
         self.graph = g
         self.cfg = cfg
+        self.anchor = anchor  # g is vertex-transitive: some minimum set holds 0
         self.nodes = 0
 
     def _tick(self) -> None:
@@ -277,7 +283,7 @@ class _Search:
         if cycle is None:
             return chosen
         blocked = set(forbidden)
-        for v in sorted(cycle):
+        for v in sorted(cycle, key=lambda w: (-sum(adj[w].values()), w)):
             if v in blocked:
                 continue
             child = _copy(adj)
@@ -291,7 +297,12 @@ class _Search:
         return None
 
     def decide(self, k: int) -> list[int] | None:
-        return self._decide(_to_multigraph(self.graph), k, frozenset())
+        adj = _to_multigraph(self.graph)
+        if self.anchor and k >= 1:
+            _delete(adj, 0)
+            found = self._decide(adj, k - 1, frozenset())
+            return None if found is None else [0, *found]
+        return self._decide(adj, k, frozenset())
 
 
 def _component_lower_bound(g: Graph) -> int:
@@ -355,7 +366,7 @@ def min_fvs_exact(
     ):
         raise InvalidParameterError("spec does not match the supplied graph")
     start = time.perf_counter()
-    search = _Search(g, cfg)
+    search = _Search(g, cfg, anchor=spec is not None)
     incumbent = greedy_decycling(g)
     lo = bound_report(spec).best if spec else _component_lower_bound(g)
     witness = incumbent.sorted_members() if cfg.mode == BRANCH_AND_BOUND else None

@@ -699,3 +699,12 @@ def test_verify_refuses_a_missing_witness_on_a_non_forest(capsys, tmp_path, monk
     code, out, err = run(capsys, "verify", path)
     assert code == 5 and "residual cycle" not in out
     assert err.startswith("construction failed verification: residual witness None")
+
+
+def test_oracle_edges_never_anchors_on_vertex_zero(capsys, tmp_path):
+    path = tmp_path / "pendant.txt"
+    path.write_text("4\n0 1\n1 2\n2 3\n1 3\n", encoding="utf-8")
+    code, out, _ = run(capsys, "oracle", "--edges", str(path))
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "minimum 1"
+    assert "0" not in lines[1].split()[1:]

@@ -266,6 +266,23 @@ def test_order_and_degree_match_the_realized_graph():
         assert all(g.degree(v) == spec.degree for v in g.vertices()), spec
 
 
+def test_every_kind_is_invariant_under_label_translations():
+    # The exact oracle assumes a minimum set through vertex 0 exists, i.e.
+    # that the translations of Z_rows x Z_n (or Z_n), which act transitively
+    # on the labels, are automorphisms of every family graph.
+    for kind in FAMILY_KINDS:
+        for n in range(5, 15):
+            for m in (1, 2, 3, 4) if kind == "powm" else (None,):
+                spec = FamilySpec(kind, n, m)
+                edges = set(realize(spec).edges())
+                rows = spec.torus_rows or 1
+                shifts = [lambda v: v - v % n + (v + 1) % n]  # next column
+                shifts.append(lambda v: (v + n) % (rows * n))  # next row
+                for shift in shifts:
+                    moved = {tuple(sorted((shift(u), shift(v)))) for u, v in edges}
+                    assert moved == edges, (spec, shift)
+
+
 def test_family_kinds_are_the_registry():
     assert FAMILY_KINDS == ("c3xc", "c4xc", "pow2", "pow3", "powm")
     assert [FamilySpec(kind, 12, 4 if kind == "powm" else None).describe()
