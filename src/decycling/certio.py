@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .errors import CertificateFormatError
-from .graphs import POWM, FamilySpec, _is_int
+from .graphs import POWM, FamilySpec, _is_int, _is_int_type
 from .verify import FAILED, UNVERIFIED, VERIFIED, DecyclingCertificate, VertexSet
 
 SCHEMA_VERSION = "1"
@@ -65,11 +65,13 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
         raise CertificateFormatError(
             f"n_vertices {n_vertices!r} does not match {spec.describe()}"
         )
-    if not isinstance(members, list) or not all(map(_is_int, members)):
+    if not isinstance(members, list) or not all(
+        map(_is_int_type, set(map(type, members)))
+    ):
         raise CertificateFormatError("set must be a list of integers")
     if members != sorted(set(members)):
         raise CertificateFormatError("set must be strictly ascending")
-    if any(not 0 <= v < n_vertices for v in members):
+    if members and not (members[0] >= 0 and members[-1] < n_vertices):
         raise CertificateFormatError("set member out of vertex range")
     if not _is_int(cardinality) or not _is_int(lower_bound):
         raise CertificateFormatError("cardinality and lower_bound must be integers")

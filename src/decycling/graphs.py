@@ -3,9 +3,10 @@
 Graphs are immutable simple undirected graphs over vertex labels
 0 .. n_vertices-1, stored as sorted per-vertex neighbor tuples.  A
 ``FamilySpec`` is a graph too, an implicit one: it has an ``order``, computes
-``neighbors(v)`` from the label and lists ``edges()`` as arithmetic runs of
-labels, so code that reads a graph only through those three runs on a family
-instance without building it.  ``realize`` builds the stored graph from
+``neighbors(v)`` from the label and lists ``edges()`` from arithmetic runs of
+labels, in the lexicographic order of the stored graph, so code that reads a
+graph only through those three runs on a family instance without building it
+and sees the same edge sequence.  ``realize`` builds the stored graph from
 ``neighbors(v)``.  The module also generates plain cycles, cartesian products
 of cycles (toroidal grids, labeled row-major), and cycle powers (circulants),
 the independent references the family adjacency is tested against.
@@ -48,9 +49,13 @@ _REGISTRY = {
 FAMILY_KINDS = tuple(_REGISTRY)
 
 
+def _is_int_type(t: type) -> bool:
+    """True for the types of JSON/Python integers; bools are not counts."""
+    return issubclass(t, int) and not issubclass(t, bool)
+
+
 def _is_int(x: object) -> bool:
-    """True for JSON/Python integers; bools are not counts."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return _is_int_type(type(x))
 
 
 @dataclass(frozen=True)
@@ -246,26 +251,43 @@ class FamilySpec:
         return tuple(sorted({u % n for u in range(lo, hi + 1) if u != v}))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Every edge once, as zipped label runs: the edges of realize(self)
-        in another order and orientation.  A torus has one run of vertical
-        edges v ~ v + n (mod order) and one run per row; a circulant has one
-        run i ~ i + d (mod n) per distance d, of n / 2 pairs when 2d = n."""
-        n = self.n
-        rows = self.torus_rows
+        """Every edge (v, u), v < u, once in lexicographic order: the sequence
+        realize(self).edges() yields.  The labels fall into segments whose
+        vertices share the offsets u - v of their higher neighbours (per torus
+        row its first label, its inside and its last label; per circulant
+        each wrap vertex and one middle run), read off the segment's first
+        label, and each block of a segment is filled offset by offset."""
+        n, rows = self.n, self.torus_rows
         if rows:
-            order = rows * n
-            runs = [zip(range(order), chain(range(n, order), range(n)))]
-            runs += (zip(range(r, r + n), chain(range(r + 1, r + n), (r,)))
-                     for r in range(0, order, n))
+            cuts = [c for r in range(0, rows * n, n) for c in (r, r + 1, r + n - 1)]
         else:
-            runs = (zip(range(n // 2 if 2 * d == n else n),
-                        chain(range(d, n), range(d)))
-                    for d in range(1, min(self.power, n // 2) + 1))
-        return chain.from_iterable(runs)
+            reach = min(self.power, n // 2)
+            cuts = [*range(reach + 1), *range(n - reach, n)]
+        cuts.append(self.order)
+        return chain.from_iterable(chain.from_iterable(
+            _segment_edges(a, b, [u - a for u in self.neighbors(a) if u > a])
+            for a, b in zip(cuts, cuts[1:])))
 
     def describe(self) -> str:
         rows = self.torus_rows
         return f"C{rows} x C{self.n}" if rows else f"C{self.n}^{self.power}"
+
+
+def _segment_edges(start: int, stop: int, offsets: list[int]) -> Iterator[zip]:
+    """Edges (v, v + d) for v in [start, stop) and d in offsets, ascending,
+    as one zip per block of labels filled by slice assignment.  The lower
+    ends and the near higher ends are slices of one list of labels, so the
+    pass creates few int objects."""
+    k, block = len(offsets), 2048
+    near = max([d for d in offsets if d < block], default=0)
+    for a in range(start, stop, block):
+        size = min(block, stop - a)
+        labels = list(range(a, a + size + near))
+        low, high = [0] * (k * size), [0] * (k * size)
+        for i, d in enumerate(offsets):
+            low[i::k] = labels[:size]
+            high[i::k] = labels[d:d + size] if d <= near else range(a + d, a + d + size)
+        yield zip(low, high)
 
 
 def make_cycle(n: int) -> Graph:

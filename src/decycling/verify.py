@@ -3,8 +3,10 @@
 The forest test uses the edge-count/component identity (a graph is a forest
 iff |E| = |V| - #components), which doubles as the unicyclicity test; one
 union-find pass over the graph's edges counts both.  When the residual graph
-is not a forest an explicit witness cycle is located by a depth-first search
-back edge.
+is not a forest the pass has kept the first edge that closed a cycle, and a
+breadth-first search through that edge finds the witness cycle near it.
+Edges come in one lexicographic order for both graph types, so a Graph and
+the FamilySpec it realizes yield the same witness.
 
 Every routine here reads a graph only through its ``order``, ``edges()`` (to
 count) and ``neighbors(v)`` (to find a witness), so each takes a stored
@@ -97,46 +99,36 @@ def _check_universe(g: Graph | FamilySpec, s: VertexSet) -> None:
 
 
 def _find_cycle(
-    g: Graph | FamilySpec, removed: frozenset[int]
+    g: Graph | FamilySpec, removed: frozenset[int], edge: tuple[int, int]
 ) -> tuple[int, ...] | None:
-    """One simple cycle of the residual graph, via iterative DFS back edge."""
-    n = g.order
-    neighbors = g.neighbors
-    parent = [-2] * n  # -2 unvisited, -1 root
-    for start in range(n):
-        if start in removed or parent[start] != -2:
-            continue
-        parent[start] = -1
-        stack = [(start, iter(neighbors(start)))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u in removed or u == parent[v]:
-                    continue
-                if parent[u] != -2:
-                    # Back edge v-u; u is an ancestor of v here, since an edge
-                    # into a descendant would have triggered from the other
-                    # side before v's neighbor scan resumed.
-                    cycle = [v]
-                    w = v
-                    while w != u:
-                        w = parent[w]
-                        cycle.append(w)
-                    return tuple(reversed(cycle))
-                parent[u] = v
-                stack.append((u, iter(neighbors(u))))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
+    """A shortest cycle of the residual graph through edge (u, v), the first
+    kept edge whose ends the union-find had already joined: a breadth-first
+    search from u reaches v without that edge, and the path closes through
+    it.  The search expands only vertices nearer to u than v is."""
+    u, v = edge
+    parent = {u: u}
+    frontier = [u]
+    for w in frontier:
+        for x in g.neighbors(w):
+            if x in parent or x in removed or (w == u and x == v):
+                continue
+            parent[x] = w
+            if x == v:
+                cycle = [v]
+                while w != u:
+                    cycle.append(w)
+                    w = parent[w]
+                cycle.append(u)
+                return tuple(reversed(cycle))
+            frontier.append(x)
     return None
 
 
 def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
     """Report on the subgraph induced by the vertices outside s: one
     path-halving union-find pass over g.edges() counts its edges and
-    components, and a witness cycle is searched for only off a forest."""
+    components and keeps the first edge that closes a cycle, from which a
+    witness cycle is found only off a forest."""
     _check_universe(g, s)
     removed = s.members
     keep = bytearray(b"\x01") * g.order
@@ -144,19 +136,23 @@ def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
         keep[v] = 0
     parent = list(range(g.order))
     n_edges = merges = 0
-    for u, v in g.edges():
-        if keep[u] and keep[v]:
+    closing = None
+    for a, b in g.edges():
+        if keep[a] and keep[b]:
             n_edges += 1
+            u, v = a, b
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[v] = u
+            if u != v:  # lower end's root under the higher's: short finds in lex order
+                parent[u] = v
                 merges += 1
+            elif closing is None:
+                closing = (a, b)
     n_kept = g.order - len(removed)  # s lies inside the graph's universe
     is_forest = n_edges == merges
-    witness = None if is_forest else _find_cycle(g, removed)
+    witness = None if is_forest else _find_cycle(g, removed, closing)
     return ResidualReport(n_kept, n_edges, n_kept - merges, is_forest, witness)
 
 

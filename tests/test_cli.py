@@ -628,7 +628,7 @@ def test_verify_refuses_to_print_a_witness_that_is_not_a_cycle(
 ):
     import decycling.verify as verify
 
-    monkeypatch.setattr(verify, "_find_cycle", lambda g, removed: bad)
+    monkeypatch.setattr(verify, "_find_cycle", lambda g, removed, edge: bad)
     path, removed = _tampered_document(FamilySpec.pow2(10), tmp_path)
     assert removed == {0, 3, 9}
     code, out, err = run(capsys, "verify", path)
@@ -643,7 +643,7 @@ def test_witness_guard_holds_under_optimization(tmp_path):
     script = (
         "import runpy, sys\n"
         "import decycling.verify as verify\n"
-        f"verify._find_cycle = lambda g, removed: {_BAD_WITNESSES[-1]!r}\n"
+        f"verify._find_cycle = lambda g, removed, edge: {_BAD_WITNESSES[-1]!r}\n"
         f"sys.argv = ['decycling', 'verify', {path!r}]\n"
         "runpy.run_module('decycling', run_name='__main__')\n"
     )
@@ -694,7 +694,7 @@ def test_rejected_verify_walks_the_residual_once(capsys, tmp_path, monkeypatch):
 def test_verify_refuses_a_missing_witness_on_a_non_forest(capsys, tmp_path, monkeypatch):
     import decycling.verify as verify
 
-    monkeypatch.setattr(verify, "_find_cycle", lambda g, removed: None)
+    monkeypatch.setattr(verify, "_find_cycle", lambda g, removed, edge: None)
     path, _ = _member_dropped_document(FamilySpec.pow2(10), tmp_path)
     code, out, err = run(capsys, "verify", path)
     assert code == 5 and "residual cycle" not in out

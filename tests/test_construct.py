@@ -17,7 +17,7 @@ from decycling.construct import (
 )
 from decycling.errors import InvalidParameterError, NotCoveredError
 from decycling.graphs import FamilySpec, realize, torus_coord
-from decycling.verify import VERIFIED, residual
+from decycling.verify import VERIFIED, is_unicyclic, residual
 
 
 def test_c3xn_smallest_case_matches_brute_force():
@@ -61,6 +61,25 @@ def test_c3xn_intermediate_is_unicyclic_with_counted_edges():
         assert report.n_vertices_left == 2 * n
         assert report.n_edges_left == 2 * n
         assert report.n_components == 1
+
+
+def test_c3xn_repair_is_the_least_label_of_the_cycle_the_rows_leave():
+    # The search the construction used to run is the oracle for its formula.
+    for n in range(3, 301):
+        base = alternating_row_set(n)
+        unicyclic, cycle = is_unicyclic(FamilySpec.c3xc(n), base)
+        assert unicyclic
+        assert decycle_c3xn(n).vertex_set.members - base.members == {min(cycle)}, n
+
+
+def test_c3xn_construction_walks_the_residual_once(monkeypatch):
+    import decycling.verify as verify
+
+    calls = []
+    real = verify.residual
+    monkeypatch.setattr(verify, "residual", lambda g, s: calls.append(s) or real(g, s))
+    assert build_certificate(FamilySpec.c3xc(101)).status == VERIFIED
+    assert len(calls) == 1
 
 
 def test_c3xn_certificates_tight_over_range():

@@ -332,3 +332,13 @@ def test_family_edges_list_every_edge_once():
         assert len(set(pairs)) == len(pairs), spec
         assert sorted(pairs) == list(realize(spec).edges()), spec
         assert sorted(pairs) == list(reference_graph(spec).edges()), spec
+
+
+def test_family_edges_are_the_realized_graphs_edge_sequence():
+    # The same pairs in the same order, so that residual's first cycle-closing
+    # edge, and the witness grown from it, agree between a spec and its graph.
+    specs = [*_every_kind_spec(40), FamilySpec.c3xc(2100), FamilySpec.pow3(4200)]
+    assert FamilySpec.powm(8, 4) in specs  # 2d = n
+    assert FamilySpec.powm(7, 3) in specs  # complete graph K7
+    for spec in specs:
+        assert list(spec.edges()) == list(realize(spec).edges()), spec

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import assert_valid_witness_cycle, naive_has_cycle, naive_residual_counts
 from decycling.bounds import bound_report, certifiable_lower_bound
-from decycling.construct import alternating_row_set, decycle_c4xn, decycle_cn3
+from decycling.construct import (
+    alternating_row_set,
+    build_certificate,
+    decycle_c4xn,
+    decycle_cn3,
+)
 from decycling.errors import UniverseMismatchError
 from decycling.graphs import FamilySpec, Graph, make_cycle, make_cycle_power, realize
 from decycling.verify import (
@@ -190,6 +195,22 @@ def test_residual_of_a_spec_equals_residual_of_its_realized_graph(spec, data):
     s = VertexSet.of(spec.order, members)
     assert residual(spec, s) == residual(realize(spec), s)
     assert is_unicyclic(spec, s) == is_unicyclic(realize(spec), s)
+
+
+@pytest.mark.parametrize("kind", ["c3xc", "c4xc", "pow2", "pow3"])
+def test_a_residual_witness_reads_few_neighbourhoods(monkeypatch, kind):
+    # The witness grows from the first edge that closes a cycle, so a hole in
+    # the middle of a large certificate is found without walking the graph.
+    spec = FamilySpec(kind, 10_000)
+    members = build_certificate(spec).vertex_set.sorted_members()
+    del members[len(members) // 2]
+    calls = []
+    real = FamilySpec.neighbors
+    monkeypatch.setattr(FamilySpec, "neighbors",
+                        lambda self, v: calls.append(v) or real(self, v))
+    report = residual(spec, VertexSet.of(spec.order, members))
+    assert not report.is_forest and len(report.witness_cycle) <= 6
+    assert len(calls) <= 100
 
 
 def test_verify_certificate_reads_the_family_without_building_it():
