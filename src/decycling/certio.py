@@ -90,7 +90,16 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
 
 
 def dumps(cert: DecyclingCertificate) -> str:
-    return json.dumps(certificate_to_document(cert), indent=2) + "\n"
+    """json.dumps(document, indent=2) plus a newline, byte for byte, with the
+    set's members joined directly: an indented json.dumps runs in Python."""
+    fields = []
+    for key, value in certificate_to_document(cert).items():
+        if key == "set" and value:
+            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def loads(text: str) -> DecyclingCertificate:

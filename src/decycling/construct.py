@@ -62,13 +62,13 @@ def extend_with_cylinders(
     base_n: int, base_labels: Iterable[int], gadget: CylinderGadget, copies: int
 ) -> VertexSet:
     """Vertex set for C4 x C(base_n + 2*copies): the base columns keep their
-    indices and the gadget pattern fills the appended column pairs."""
+    indices and the gadget pattern fills the appended column pairs: cell
+    (r, lc) takes every other column of row r from base_n + lc on."""
     n = base_n + 2 * copies
-    coords = {(v // base_n, v % base_n) for v in base_labels}
-    for j in range(copies):
-        col0 = base_n + 2 * j
-        coords.update((r, col0 + lc) for r, lc in gadget.pattern)
-    return VertexSet.of(4 * n, (r * n + c for r, c in coords))
+    members = [v // base_n * n + v % base_n for v in base_labels]
+    for r, lc in gadget.pattern:
+        members.extend(range(r * n + base_n + lc, (r + 1) * n, 2))
+    return VertexSet.of(4 * n, members)
 
 
 def _certify(

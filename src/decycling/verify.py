@@ -1,19 +1,17 @@
 """Acyclicity checking of vertex-deleted subgraphs and certificate validation.
 
 The forest test uses the edge-count/component identity (a graph is a forest
-iff |E| = |V| - #components), which doubles as the unicyclicity test; one
-union-find pass over the graph's edges counts both.  When the residual graph
-is not a forest the pass has kept the first edge that closed a cycle, and a
-breadth-first search through that edge finds the witness cycle near it.
-Edges come in one lexicographic order for both graph types, so a Graph and
-the FamilySpec it realizes yield the same witness.
-
-Every routine here reads a graph only through its ``order``, ``edges()`` (to
-count) and ``neighbors(v)`` (to find a witness), so each takes a stored
-``Graph`` or a ``FamilySpec``, whose edges and neighbors are arithmetic on the
-labels.  A certificate is checked against its own family without building
-the graph, and its lower bound is re-derived: it may not exceed the best
-computed bound or the paper's closed form.
+iff |E| = |V| - #components), which doubles as the unicyclicity test.  A
+family instance is counted by a memoized sweep over its columns, any other
+graph by one union-find pass over its edges.  Off a forest, a union-find in
+the one lexicographic edge order of both graph types stops at the first edge
+that closes a cycle, and a breadth-first search through that edge finds the
+witness cycle near it, the same for a Graph and the FamilySpec it realizes.
+Every routine takes a stored ``Graph`` or a ``FamilySpec``, whose ``order``,
+``edges()`` and ``neighbors(v)`` are arithmetic on the labels, so a
+certificate is checked against its own family without building the graph.
+Its lower bound is re-derived: it may not exceed the best computed bound or
+the paper's closed form.
 """
 
 from __future__ import annotations
@@ -91,13 +89,6 @@ class ResidualReport:
         return self.n_components == 1
 
 
-def _check_universe(g: Graph | FamilySpec, s: VertexSet) -> None:
-    if s.universe_size != g.order:
-        raise UniverseMismatchError(
-            f"vertex set universe {s.universe_size} != graph order {g.order}"
-        )
-
-
 def _find_cycle(
     g: Graph | FamilySpec, removed: frozenset[int], edge: tuple[int, int]
 ) -> tuple[int, ...] | None:
@@ -124,20 +115,90 @@ def _find_cycle(
     return None
 
 
-def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
-    """Report on the subgraph induced by the vertices outside s: one
-    path-halving union-find pass over g.edges() counts its edges and
-    components and keeps the first edge that closes a cycle, from which a
-    witness cycle is found only off a forest."""
-    _check_universe(g, s)
-    removed = s.members
-    keep = bytearray(b"\x01") * g.order
-    for v in removed:
-        keep[v] = 0
-    parent = list(range(g.order))
+def _strip_shape(spec: FamilySpec):
+    """(w, b, inner, forward) for a spec with n > 2b and at most 4 rows, else
+    None: column c holds vertices r*n + c in w slots (4 on a torus, C3
+    leaving one unkept; 1 on a circulant) and joins columns c+1 .. c+b; inner
+    lists the rows r < q joined in a column, forward the (r, d, q) with
+    (r, c) ~ (q, c+d)."""
+    rows, n = spec.torus_rows or 1, spec.n
+    b = 1 if spec.torus_rows else spec.power
+    if n <= 2 * b or rows > 4:
+        return None
+    # read off column b, whose neighbours do not wrap when n > 2b
+    arcs = [(r, u % n - b, u // n) for r in range(rows) for u in spec.neighbors(r*n + b)]
+    inner = tuple((r, q) for r, d, q in arcs if d == 0 and q > r)
+    return 4 if spec.torus_rows else 1, b, inner, tuple(a for a in arcs if a[1] > 0)
+
+
+def _strip_step(shape, state: tuple[int, ...], bits: bytes):
+    """Sweep the columns whose keep bits (w per column) are bits into the
+    window, dropping as many of its oldest.  A state labels the w*b head slots
+    (columns 0 .. b-1), then the w*b window slots (the last b columns swept):
+    -1 if deleted, else a component, numbered by first occurrence.  Returns
+    (next state, edges added, merges): a cycle closes iff edges > merges, so
+    a minimizing transfer-matrix sweep can use the step as it is."""
+    w, b, inner, forward = shape
+    head, labels, parent = w * b, list(state), list(range(len(state) + len(bits)))
+    kept = b"\x01" * len(parent) + b"\x00"  # label -1, a deleted slot, reads the 0
+    edges = merges = 0
+    for c in range(0, len(bits), w):
+        new = [len(state) + c + r if bit else -1 for r, bit in enumerate(bits[c:c + w])]
+        old = labels[head:]
+        e, m, _ = _union_find([(new[r], new[q]) for r, q in inner] + [
+            (old[(b - d) * w + r], new[q]) for r, d, q in forward], kept, parent)
+        edges, merges = edges + e, merges + m
+        labels[head:] = old[w:] + new
+    roots: dict[int, int] = {}
+    for i, x in enumerate(labels):
+        while x >= 0 and parent[x] != x:
+            x = parent[x]
+        labels[i] = x if x < 0 else roots.setdefault(x, len(roots))
+    return tuple(labels), edges, merges
+
+
+def _strip_close(shape, state: tuple[int, ...]) -> tuple[int, int]:
+    """(edges, merges) of the wrap edges from the window into the head."""
+    w, b, _, forward = shape
+    return _union_find([(state[w * b + j * w + r], state[(j + d - b) * w + q])
+                        for r, d, q in forward for j in range(b - d, b)],
+                       b"\x01" * len(state) + b"\x00", list(range(len(state))))[:2]
+
+
+def _sweep(spec: FamilySpec, shape, keep: bytearray) -> tuple[int, int]:
+    """(edges, merges) of a strip's residual: the first b columns make the
+    head and the window, then each step reads 4 keep bits (a torus column or
+    4 circulant labels, the last maybe fewer), memoized per state and keyed
+    as one 4-byte int for this call only."""
+    w, b, _, _ = shape
+    n, head = spec.n, w * b
+    cols = bytearray(w * n)  # column-major: vertex r*n + c in slot c*w + r
+    for r in range(len(keep) // n):
+        cols[r::w] = keep[r * n:(r + 1) * n]
+    state, edges, merges = _strip_step(shape, (-1,) * (2 * head), cols[:head])
+    state = state[head:] * 2  # the first b columns are both the head and the window
+    rows: dict = {}  # state -> {a step's bits: (next state, its row, edges, merges)}
+    row = rows[state] = {}
+    end = len(cols) - (len(cols) - head) % 4
+    for i, bits in zip(range(head, end, 4), memoryview(cols[head:end]).cast("I")):
+        hit = row.get(bits)
+        if hit is None:
+            nxt, e, m = _strip_step(shape, state, cols[i:i + 4])
+            hit = row[bits] = (nxt, rows.setdefault(nxt, {}), e, m)
+        state, row, e, m = hit
+        edges += e
+        merges += m
+    state, e, m = _strip_step(shape, state, cols[end:])
+    e2, m2 = _strip_close(shape, state)
+    return edges + e + e2, merges + m + m2
+
+
+def _union_find(pairs, keep, parent: list[int], stop: bool = False):
+    """(edges, merges, first closing pair) of a path-halving union-find over
+    the pairs with both ends kept, ending there with stop."""
     n_edges = merges = 0
     closing = None
-    for a, b in g.edges():
+    for a, b in pairs:
         if keep[a] and keep[b]:
             n_edges += 1
             u, v = a, b
@@ -150,6 +211,29 @@ def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
                 merges += 1
             elif closing is None:
                 closing = (a, b)
+                if stop:
+                    break
+    return n_edges, merges, closing
+
+
+def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
+    """Report on the subgraph induced by the vertices outside s: a FamilySpec
+    with n > 2b is counted by a column sweep, anything else by a union-find
+    over g.edges(), which alone finds the first closing edge of a witness."""
+    if s.universe_size != g.order:
+        raise UniverseMismatchError(
+            f"vertex set universe {s.universe_size} != graph order {g.order}")
+    removed = s.members
+    keep = bytearray(b"\x01") * g.order
+    for v in removed:
+        keep[v] = 0
+    shape = _strip_shape(g) if isinstance(g, FamilySpec) else None
+    if shape is None:
+        n_edges, merges, closing = _union_find(g.edges(), keep, list(range(g.order)))
+    else:
+        n_edges, merges = _sweep(g, shape, keep)
+        closing = None if n_edges == merges else _union_find(
+            g.edges(), keep, list(range(g.order)), stop=True)[2]
     n_kept = g.order - len(removed)  # s lies inside the graph's universe
     is_forest = n_edges == merges
     witness = None if is_forest else _find_cycle(g, removed, closing)

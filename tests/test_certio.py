@@ -12,7 +12,7 @@ from decycling.certio import (
     loads,
     save,
 )
-from decycling.construct import decycle_c4xn
+from decycling.construct import build_certificate, decycle_c4xn
 from decycling.errors import CertificateFormatError
 from decycling.graphs import FamilySpec
 from decycling.verify import DecyclingCertificate, VertexSet
@@ -79,3 +79,25 @@ def test_loads_rejects_invalid_json():
         loads("{not json")
     with pytest.raises(CertificateFormatError):
         loads(json.dumps([1, 2, 3]))
+
+
+@pytest.mark.parametrize("cert", [
+    decycle_c4xn(9),
+    build_certificate(FamilySpec.c3xc(11)),
+    build_certificate(FamilySpec.pow2(301)),
+    build_certificate(FamilySpec.pow3(10)),
+    DecyclingCertificate(FamilySpec.powm(9, 4), VertexSet.of(9, [1, 2]), 2, 0, "oracle"),
+    DecyclingCertificate(FamilySpec.pow2(7), VertexSet.empty(7), 0, 0, "empty"),
+    DecyclingCertificate(FamilySpec.c4xc(5), VertexSet.of(20, [0]), 1, 0,
+                         'x",\n  "set": [1, 2],\n  "m": {"é": []}\\'),
+], ids=["c4xc", "c3xc", "pow2", "pow3", "powm", "empty-set", "json-like-method"])
+def test_dumps_is_the_indented_json_of_the_document(cert):
+    assert dumps(cert) == json.dumps(certificate_to_document(cert), indent=2) + "\n"
+    assert loads(dumps(cert)) == cert
+
+
+def test_dumps_matches_indented_json_on_random_certificates():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        cert = random_certificate(rng)
+        assert dumps(cert) == json.dumps(certificate_to_document(cert), indent=2) + "\n"

@@ -255,3 +255,26 @@ def test_closed_form_matches_construction_up_to_200(kind):
     for n in range(low, 201):
         spec = FamilySpec(kind, n)
         assert nabla_formula(spec) == build_certificate(spec).cardinality, spec
+
+
+def _cylinder_set_by_coordinates(base_n, base_labels, gadget, copies):
+    # The coordinate derivation extend_with_cylinders replaced: (row, col)
+    # pairs for the base and for every appended column pair, then labels.
+    n = base_n + 2 * copies
+    coords = {(v // base_n, v % base_n) for v in base_labels}
+    for j in range(copies):
+        col0 = base_n + 2 * j
+        coords.update((r, col0 + lc) for r, lc in gadget.pattern)
+    return frozenset(r * n + c for r, c in coords)
+
+
+@pytest.mark.parametrize("gadget", [
+    CYLINDER_GADGET, CylinderGadget(frozenset({(3, 0), (0, 1), (1, 1)}))])
+def test_cylinder_extension_matches_the_coordinate_derivation(gadget):
+    for base_n, base in ((4, C4XC4_BASE), (5, C4XC5_BASE)):
+        for copies in range(151):
+            s = extend_with_cylinders(base_n, base, gadget, copies)
+            assert s.universe_size == 4 * (base_n + 2 * copies)
+            assert s.members == _cylinder_set_by_coordinates(
+                base_n, base, gadget, copies), (base_n, copies)
+            assert len(s) == len(base) + 3 * copies

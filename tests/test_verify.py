@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_valid_witness_cycle, naive_has_cycle, naive_residual_counts
+from decycling import verify
 from decycling.bounds import bound_report, certifiable_lower_bound
 from decycling.construct import (
     alternating_row_set,
@@ -264,3 +266,53 @@ def test_residual_counts_match_a_breadth_first_count(g, data):
     report = residual(g, VertexSet.of(g.order, members))
     assert report.n_vertices_left == g.order - len(members)
     assert (report.n_edges_left, report.n_components) == naive_residual_counts(g, members)
+
+
+@pytest.mark.parametrize("kind, m", [
+    *((k, None) for k in ("c3xc", "c4xc", "pow2", "pow3")),
+    *(("powm", m) for m in range(1, 7))])
+def test_the_column_sweep_agrees_with_the_union_find(kind, m):
+    # n just above 2b (below it residual uses the union-find), across step
+    # boundaries and ending on partial last steps, and two larger n.
+    b = m or {"pow2": 2, "pow3": 3}.get(kind, 1)
+    rng = random.Random(f"{kind}{m}")
+    for n in [*range(max(2 * b + 1, 4 if kind == "c4xc" else 3), 2 * b + 13), 257, 1000]:
+        spec = FamilySpec(kind, n, m)
+        g, order = realize(spec), spec.order
+        sets = [(), range(order)] + [
+            [v for v in range(order) if rng.random() < density]
+            for density in (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9)]
+        if kind != "powm":
+            sets.append(build_certificate(spec).vertex_set.members)
+        for members in sets:
+            s = VertexSet.of(order, members)
+            assert residual(spec, s) == residual(g, s), (spec, sorted(s.members))
+
+
+@pytest.mark.parametrize("kind", ["c3xc", "c4xc", "pow2", "pow3"])
+def test_a_good_large_certificate_is_checked_without_listing_edges(monkeypatch, kind):
+    spec = FamilySpec(kind, 10_000)
+    cert = build_certificate(spec)
+
+    def no_edges(self):
+        raise AssertionError("FamilySpec.edges called")
+
+    monkeypatch.setattr(FamilySpec, "edges", no_edges)
+    assert verify_certificate(cert).status == VERIFIED
+
+
+@pytest.mark.parametrize("kind", ["c3xc", "c4xc", "pow2", "pow3"])
+def test_the_column_sweep_computes_few_distinct_steps(monkeypatch, kind):
+    # Canonical state labels keep the number of distinct (state, keep bits)
+    # steps small however long the strip is.
+    spec = FamilySpec(kind, 10_000)
+    calls = []
+    real = verify._strip_step
+    monkeypatch.setattr(verify, "_strip_step",
+                        lambda *args: calls.append(1) or real(*args))
+    rng = random.Random(7)
+    for density in (0.3, 0.5, 0.7):
+        calls.clear()
+        s = VertexSet.of(spec.order, [v for v in range(spec.order) if rng.random() < density])
+        residual(spec, s)
+        assert 0 < len(calls) <= 500, (density, len(calls))
