@@ -112,16 +112,10 @@ def bound_report(spec: FamilySpec) -> BoundReport:
         report.notes["cube_bound"] = "3 per cube slab, each vertex in 2 slabs"
 
     m = spec.power
-    if m is not None and m >= 2:
-        windows: list[int] = []
-        if spec.n > 2 * m:
-            windows.append(window_bound_cycle_power(spec.n, m))
-            report.notes["window_bound"] = f"residue window, runs of {m + 1} labels"
-        if m == 3 and spec.n >= 7:
-            windows.append(k4_window_bound(spec.n))
-            report.notes.setdefault("window_bound", "K4 window count")
-        if windows:
-            report.window_bound = max(windows)
+    if m is not None and m >= 2 and spec.n > 2 * m:
+        # For m = 3 and n = 4q + k it is k + 2q, never below k4_window_bound.
+        report.window_bound = window_bound_cycle_power(spec.n, m)
+        report.notes["window_bound"] = f"residue window, runs of {m + 1} labels"
 
     if degree == order - 1:
         report.clique_bound = order - 2

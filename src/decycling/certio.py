@@ -105,7 +105,7 @@ def dumps(cert: DecyclingCertificate) -> str:
 def loads(text: str) -> DecyclingCertificate:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # digit limit, deep nesting
         raise CertificateFormatError(f"invalid JSON: {err}") from None
     return document_to_certificate(doc)
 
@@ -117,4 +117,8 @@ def save(cert: DecyclingCertificate, path: str) -> None:
 
 def load(path: str) -> DecyclingCertificate:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise CertificateFormatError(f"not UTF-8 text: {err}") from None
+    return loads(text)

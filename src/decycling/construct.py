@@ -73,7 +73,7 @@ def extend_with_cylinders(
 
 def _certify(
     spec: FamilySpec,
-    members: Iterable[int],
+    s: VertexSet,
     method: str,
     lower_bound: int | None = None,
 ) -> DecyclingCertificate:
@@ -82,7 +82,7 @@ def _certify(
     value = nabla_formula(spec)
     cert = DecyclingCertificate(
         family=spec,
-        vertex_set=VertexSet.of(spec.order, members),
+        vertex_set=s,
         cardinality=value,
         lower_bound=value if lower_bound is None else lower_bound,
         method=method,
@@ -116,7 +116,7 @@ def decycle_c3xn(n: int) -> DecyclingCertificate:
     spec = FamilySpec.c3xc(n)
     repair = 2 * n if n % 2 == 0 else n - 2
     members = alternating_row_set(n).members | {repair}
-    return _certify(spec, members, "row-zigzag-plus-repair")
+    return _certify(spec, VertexSet.of(spec.order, members), "row-zigzag-plus-repair")
 
 
 def decycle_c4xn(n: int) -> DecyclingCertificate:
@@ -130,9 +130,7 @@ def decycle_c4xn(n: int) -> DecyclingCertificate:
     else:
         base_n, base = 5, C4XC5_BASE
     s = extend_with_cylinders(base_n, base, CYLINDER_GADGET, (n - base_n) // 2)
-    return _certify(
-        spec, s.members, "base-plus-cylinders", lower_bound=cube_count_bound(n)
-    )
+    return _certify(spec, s, "base-plus-cylinders", lower_bound=cube_count_bound(n))
 
 
 def decycle_cn2(n: int) -> DecyclingCertificate:
@@ -145,7 +143,7 @@ def decycle_cn2(n: int) -> DecyclingCertificate:
         members = set(range(0, n, 3))
     else:
         members = set(range(0, n - 1, 3)) | {n - 1}
-    return _certify(spec, members, "spaced-thirds")
+    return _certify(spec, VertexSet.of(spec.order, members), "spaced-thirds")
 
 
 def decycle_cn3(n: int) -> DecyclingCertificate:
@@ -160,7 +158,7 @@ def decycle_cn3(n: int) -> DecyclingCertificate:
     else:
         for k in range(1, (n - 3) // 4 + 1):
             members.update((4 * k, 4 * k + 1))
-    return _certify(spec, members, "triple-plus-pairs")
+    return _certify(spec, VertexSet.of(spec.order, members), "triple-plus-pairs")
 
 
 _BUILDERS = {

@@ -3,11 +3,13 @@
 The minimum is bracketed by a lower bound lo, seeded with the best known bound,
 and the smallest decycling set found.  Each step asks the decision search for
 a set of at most k vertices: k = lo while no set is known (iterative deepening,
-the default), else one below the set (branch-and-bound starts from the greedy
-set).  A refutation raises lo to k + 1, a success shrinks the set, so a seed
-that overshot is pushed down to a refutation.  Optimality assumes the seed is
-a true lower bound: the push-down recovers only when a probe returns a set
-smaller than asked for (deepening on C12^3 seeded 3 high reports 9, not 7).
+the default), else one below the set.  The greedy set is built only where it
+is read: branch-and-bound starts from it, and a budget error that found no set
+reports its size.  A refutation raises lo to k + 1, a success shrinks the set,
+so a seed that overshot is pushed down to a refutation.  Optimality assumes
+the seed is a true lower bound: the push-down recovers only when a probe
+returns a set smaller than asked for (deepening on C12^3 seeded 3 high reports
+9, not 7).
 
 The decision search branches on a currently-shortest residual cycle (every
 decycling set must hit every cycle), trying its vertices by descending
@@ -16,13 +18,13 @@ graph is a Cayley graph, hence vertex-transitive: an automorphism maps a
 minimum set onto one holding vertex 0.  So when min_fvs_exact is given a
 family spec (and only then), asking for k >= 1 vertices deletes vertex 0 and
 asks for k - 1.  Branching happens after exhaustively applying three
-reductions:
+reductions, in this order at each vertex of a sorted scan:
 
+* one forced pick: a cycle of length <= 2 through v (a self-loop, or a
+  parallel pair v=a with v of degree 2) takes v for a loop, else a (which
+  covers every cycle through v) or, with a forbidden, v,
 * vertices of degree <= 1 are deleted,
-* a vertex carrying a self-loop is forced into the set,
-* a degree-2 vertex is suppressed by contracting its two edges; a parallel
-  edge created this way is a forced choice between its endpoints (it is the
-  shortest cycle, so branching immediately picks one of the two),
+* a degree-2 vertex is suppressed by contracting its two edges,
 
 and then a fourth rule that prunes the node outright:
 
@@ -56,7 +58,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .graphs import C4XC, FamilySpec, Graph
-from .verify import VERIFIED, DecyclingCertificate, VertexSet, residual
+from .verify import VERIFIED, DecyclingCertificate, VertexSet, _union_find, residual
 
 ITERATIVE_DEEPENING = "iterative-deepening"
 BRANCH_AND_BOUND = "branch-and-bound"
@@ -173,58 +175,39 @@ class _Search:
                 nbrs = adj.get(v)
                 if nbrs is None:
                     continue
-                if nbrs.get(v, 0):
-                    # Self-loop: v lies on a cycle no other vertex can hit.
-                    if v in forbidden:
-                        return None
-                    chosen.append(v)
-                    k -= 1
-                    _delete(adj, v)
-                    if k < 0:
-                        return None
-                    changed = True
-                    continue
                 deg = sum(nbrs.values())
-                if deg <= 1:
+                if v in nbrs or (deg == 2 and len(nbrs) == 1):
+                    # A loop at v or a parallel pair v=a is a cycle that must
+                    # lose a vertex; for a pair, a covers every cycle through v.
+                    forced = (v,) if v in nbrs else (*nbrs, v)
+                    pick = next((w for w in forced if w not in forbidden), None)
+                    if pick is None or k <= 0:
+                        return None
+                    chosen.append(pick)
+                    k -= 1
+                    _delete(adj, pick)
+                    changed = True
+                elif deg <= 1:
                     _delete(adj, v)
                     changed = True
-                    continue
-                if deg == 2:
-                    if len(nbrs) == 1:
-                        # Parallel pair v=a: the 2-cycle must lose a vertex and
-                        # a covers every cycle through v.
-                        (a,) = nbrs
-                        if a not in forbidden:
-                            chosen.append(a)
-                            k -= 1
-                            _delete(adj, a)
-                        elif v not in forbidden:
-                            chosen.append(v)
-                            k -= 1
-                            _delete(adj, v)
-                        else:
-                            return None
-                        if k < 0:
-                            return None
+                elif deg == 2:
+                    a, b = nbrs
+                    # Suppressing v is only lossless if some endpoint could
+                    # stand in for it; with both endpoints forbidden and v
+                    # free, leave v for the branching step.
+                    if v in forbidden or a not in forbidden or b not in forbidden:
+                        _delete(adj, v)
+                        adj[a][b] = adj[a].get(b, 0) + 1
+                        adj[b][a] = adj[b].get(a, 0) + 1
                         changed = True
-                    else:
-                        a, b = nbrs
-                        # Suppressing v is only lossless if some endpoint could
-                        # stand in for it; with both endpoints forbidden and v
-                        # free, leave v for the branching step.
-                        if v in forbidden or a not in forbidden or b not in forbidden:
-                            _delete(adj, v)
-                            adj[a][b] = adj[a].get(b, 0) + 1
-                            adj[b][a] = adj[b].get(a, 0) + 1
-                            changed = True
         return k
 
     def _find_cycle(self, adj: Adj) -> tuple[int, ...] | None:
         """A currently-shortest cycle of the multigraph, or None for forests."""
-        for v in sorted(adj):
-            for u in sorted(adj[v]):
-                if u > v and adj[v][u] >= 2:
-                    return (v, u)
+        pair = min(((v, u) for v, nbrs in adj.items() for u, c in nbrs.items()
+                    if c > 1 and u > v), default=None)
+        if pair is not None:
+            return pair
         best: tuple[int, ...] | None = None
         best_len = len(adj) + 1
         for root in sorted(adj):
@@ -307,24 +290,16 @@ class _Search:
 
 def _component_lower_bound(g: Graph) -> int:
     """Sum of per-component cycle-rank bounds; sound for any simple graph."""
-    seen = [False] * g.n_vertices
-    total = 0
-    for start in g.vertices():
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    queue.append(u)
-        edges = sum(g.degree(v) for v in comp) // 2
-        total += cycle_rank_bound(len(comp), edges, max(g.degree(v) for v in comp))
-    return total
+    parent = list(range(g.n_vertices))
+    _union_find(g.edges(), [True] * g.n_vertices, parent)
+    tally: dict[int, tuple[int, int, int]] = {}  # root -> order, degree sum, max
+    for v in g.vertices():
+        root, d = v, g.degree(v)
+        while parent[root] != root:
+            root = parent[root]
+        order, total, top = tally.get(root, (0, 0, 0))
+        tally[root] = (order + 1, total + d, max(top, d))
+    return sum(cycle_rank_bound(o, t // 2, top) for o, t, top in tally.values())
 
 
 def check_vertex_budget(order: int, cfg: SolverConfig) -> None:
@@ -367,9 +342,9 @@ def min_fvs_exact(
         raise InvalidParameterError("spec does not match the supplied graph")
     start = time.perf_counter()
     search = _Search(g, cfg, anchor=spec is not None)
-    incumbent = greedy_decycling(g)
     lo = bound_report(spec).best if spec else _component_lower_bound(g)
-    witness = incumbent.sorted_members() if cfg.mode == BRANCH_AND_BOUND else None
+    bnb = cfg.mode == BRANCH_AND_BOUND
+    witness = greedy_decycling(g).sorted_members() if bnb else None
     try:
         # A witness below lo means the seed overshot; the probes below it push
         # down to a refutation.  An empty witness is minimal and ends the loop.
@@ -381,7 +356,7 @@ def min_fvs_exact(
             else:
                 witness = found
     except BudgetExceededError as err:
-        upper = incumbent.cardinality if witness is None else len(witness)
+        upper = greedy_decycling(g).cardinality if witness is None else len(witness)
         best = upper if err.best_known is None else err.best_known
         raise BudgetExceededError(str(err), best_known=best) from None
     result_set = VertexSet.of(g.n_vertices, witness)

@@ -87,6 +87,15 @@ def test_k4_window_bound_values():
         k4_window_bound(6)
 
 
+def test_window_bound_dominates_the_k4_window_bound():
+    # With n = 4q + k the window bound is k + 2q and the K4 bound 2q + ceil(k/2),
+    # so bound_report needs only the window bound for Cn^3.
+    for n in range(7, 2001):
+        window = window_bound_cycle_power(n, 3)
+        assert window >= k4_window_bound(n), n
+        assert bound_report(FamilySpec.pow3(n)).window_bound == window, n
+
+
 def test_clique_bound_detects_complete_graphs():
     assert clique_bound(realize(FamilySpec.pow3(7))) == 5
     assert clique_bound(realize(FamilySpec.pow3(8))) is None

@@ -81,6 +81,23 @@ def test_loads_rejects_invalid_json():
         loads(json.dumps([1, 2, 3]))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"schema_version": ' + "9" * 5000 + "}", "[" * 100_000],
+    ids=["int-digit-limit", "deep-nesting"],
+)
+def test_loads_maps_parser_limits_to_format_errors(text):
+    with pytest.raises(CertificateFormatError, match="invalid JSON"):
+        loads(text)
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(CertificateFormatError, match="not UTF-8"):
+        load(str(path))
+
+
 @pytest.mark.parametrize("cert", [
     decycle_c4xn(9),
     build_certificate(FamilySpec.c3xc(11)),

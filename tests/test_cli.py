@@ -296,6 +296,25 @@ def test_verify_rejects_wrong_json_number_types(capsys, tmp_path, mutate):
     assert err.startswith("certificate error")
 
 
+_UNREADABLE_CERTIFICATES = {
+    "not-utf8": b"\xff\xfe{}",
+    "int-digit-limit": b'{"schema_version": ' + b"9" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE_CERTIFICATES))
+@pytest.mark.parametrize(
+    "command", [["verify"], ["export", "c4xc", "5", "--cert"]], ids=["verify", "export"]
+)
+def test_unreadable_certificate_files_exit_2(capsys, tmp_path, command, name):
+    path = tmp_path / "c.json"
+    path.write_bytes(_UNREADABLE_CERTIFICATES[name])
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("certificate error: ")
+
+
 def test_verify_realizes_the_graph_once(capsys, tmp_path, monkeypatch):
     calls = _count_realize_calls(monkeypatch)
     doc = json.loads(dumps(decycle_cn2(10)))

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import naive_min_fvs, residual_is_single_path
+from decycling import construct
 from decycling.construct import (
     C4XC4_BASE,
     C4XC5_BASE,
@@ -135,6 +136,18 @@ def test_extend_with_cylinders_counts():
     s = extend_with_cylinders(4, C4XC4_BASE, CYLINDER_GADGET, 3)
     assert s.universe_size == 40
     assert s.cardinality == 6 + 9
+
+
+def test_c4xn_certificate_keeps_the_set_its_builder_made(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(extend_with_cylinders(*args))
+        return built[-1]
+
+    monkeypatch.setattr(construct, "extend_with_cylinders", spy)
+    for n in (4, 9, 20):
+        assert decycle_c4xn(n).vertex_set is built[-1], n
 
 
 def test_cn2_case_sets():

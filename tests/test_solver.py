@@ -1,13 +1,15 @@
 import functools
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_has_cycle, naive_min_fvs
-from decycling.bounds import bound_report
+from decycling import solver
+from decycling.bounds import bound_report, cycle_rank_bound
 from decycling.construct import CYLINDER_GADGET, decycle_c4xn, decycle_cn2, nabla_formula
 from decycling.errors import (
     BudgetExceededError,
@@ -198,6 +200,22 @@ def test_reduction_forces_self_loop_vertices():
     assert engine._reduce(adj, frozenset({0}), [], 2) is None
 
 
+def test_reduction_forces_one_end_of_a_parallel_pair():
+    # 0 has degree 2 through a double edge to 1, and 1 also carries 1-2: the
+    # pair must lose a vertex, 1 covers every cycle through 0, so 1 goes first.
+    engine = _Search(make_cycle(3), SolverConfig())
+
+    def pair():
+        return {0: {1: 2}, 1: {0: 2, 2: 1}, 2: {1: 1}}
+
+    chosen = []
+    assert engine._reduce(pair(), frozenset(), chosen, 1) == 0 and chosen == [1]
+    chosen = []
+    assert engine._reduce(pair(), frozenset({1}), chosen, 1) == 0 and chosen == [0]
+    assert engine._reduce(pair(), frozenset({0, 1}), [], 1) is None
+    assert engine._reduce(pair(), frozenset(), [], 0) is None
+
+
 def test_reduction_collapses_cycles_through_forbidden_vertices():
     # Triangle with both of 0's neighbors forbidden: contraction of the
     # forbidden pair turns the cycle into a forced pick of 0.
@@ -332,6 +350,61 @@ def test_a_seed_above_the_minimum_is_pushed_down(monkeypatch, mode):
     spec = FamilySpec.c4xc(5)
     result = min_fvs_exact(realize(spec), SolverConfig(mode=mode), spec=spec)
     assert result.minimum == 8 and result.witness.cardinality == 8
+
+
+def test_greedy_set_is_built_only_where_it_is_read(monkeypatch):
+    calls = []
+    real = solver.greedy_decycling
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(solver, "greedy_decycling", spy)
+    g = realize(FamilySpec.c4xc(5))
+    assert min_fvs_exact(g).minimum == 8
+    assert calls == []  # deepening that finishes never reads it
+    with pytest.raises(BudgetExceededError) as info:
+        min_fvs_exact(g, SolverConfig(node_budget=3))
+    assert calls == [g] and info.value.best_known == real(g).cardinality
+    calls.clear()
+    assert min_fvs_exact(g, SolverConfig(mode="branch-and-bound")).minimum == 8
+    assert calls == [g]
+
+
+def _bfs_component_lower_bound(g):
+    # The per-component tally by breadth-first search that the union-find
+    # version replaced.
+    seen = [False] * g.n_vertices
+    total = 0
+    for start in g.vertices():
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for u in g.neighbors(v):
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+                    queue.append(u)
+        edges = sum(g.degree(v) for v in comp) // 2
+        total += cycle_rank_bound(len(comp), edges, max(g.degree(v) for v in comp))
+    return total
+
+
+def test_component_lower_bound_matches_a_breadth_first_tally():
+    rng = random.Random(20261018)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(6, [])]
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        pairs = list(itertools.combinations(range(n), 2))
+        m = rng.randint(0, min(len(pairs), 2 * n))
+        graphs.append(Graph.from_edges(n, rng.sample(pairs, m)))
+    for g in graphs:
+        assert _component_lower_bound(g) == _bfs_component_lower_bound(g), g
 
 
 @settings(max_examples=80, deadline=None)
