@@ -1,13 +1,16 @@
 """Command-line surface: closed forms, constructions, verification, oracle.
 
-Exit codes: 0 success/verified, 2 usage or parse failure, 3 out of range or
-resource budget, 4 I/O failure, 5 verification failed or a formula refuted.
-The default oracle node budget can be set with DECYCLING_NODE_BUDGET.
+Exit codes: 0 success/verified, 2 usage or parse failure, 3 out of range,
+over budget or too large to hold in memory, 4 I/O failure, 5 verification
+failed or a formula refuted.  DECYCLING_NODE_BUDGET, read on every call, sets
+the default oracle node budget.  `main(argv)` may be called repeatedly in one
+process; it builds its argument parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -78,12 +81,9 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _add_family_arguments(sub: argparse.ArgumentParser, optional: bool = False):
-    if optional:
-        sub.add_argument("family", nargs="?", choices=FAMILY_KINDS)
-        sub.add_argument("n", nargs="?", type=int)
-    else:
-        sub.add_argument("family", choices=FAMILY_KINDS)
-        sub.add_argument("n", type=int)
+    nargs = "?" if optional else None
+    sub.add_argument("family", nargs=nargs, choices=FAMILY_KINDS)
+    sub.add_argument("n", nargs=nargs, type=int)
     sub.add_argument("m", nargs="?", type=int, default=None,
                      help="power exponent, only for family powm")
 
@@ -151,6 +151,18 @@ def _read_edge_list(path: str, cfg: SolverConfig) -> tuple[int, list[tuple[int, 
     return n, edges
 
 
+def _solve_family(spec: FamilySpec, cfg: SolverConfig):
+    """Exact minimum of a family instance, with the closed form it refutes
+    (None when the closed form agrees or does not cover the family)."""
+    check_vertex_budget(spec.order, cfg)
+    result = min_fvs_exact(realize(spec), cfg, spec=spec)
+    try:
+        expected = nabla_formula(spec)
+    except NotCoveredError:
+        return result, None
+    return result, None if expected == result.minimum else expected
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _solver_config(args)
     if args.edges:
@@ -161,26 +173,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         except ValueError as err:
             raise _UsageError(f"{args.edges}: {err}")
         # A parsed list with a bad vertex count or edge is out of range (exit 3).
-        graph = Graph.from_edges(n, edges)
-        spec = None
+        result, refuted = min_fvs_exact(Graph.from_edges(n, edges), cfg), None
     else:
         if args.family is None or args.n is None:
             raise _UsageError("oracle needs a family and n, or --edges PATH")
-        spec = _spec_from_args(args)
-        check_vertex_budget(spec.order, cfg)
-        graph = realize(spec)
-    result = min_fvs_exact(graph, cfg, spec=spec)
+        result, refuted = _solve_family(_spec_from_args(args), cfg)
     print(f"minimum {result.minimum}")
     print(f"witness {' '.join(map(str, result.witness.sorted_members()))}")
     print(f"nodes {result.nodes_explored} elapsed {result.elapsed:.2f}s")
-    if spec is not None:
-        try:
-            expected = nabla_formula(spec)
-        except NotCoveredError:
-            return EXIT_OK
-        if expected != result.minimum:
-            print(f"refuted: closed form predicts {expected}", file=sys.stderr)
-            return EXIT_FAILED
+    if refuted is not None:
+        print(f"refuted: closed form predicts {refuted}", file=sys.stderr)
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -212,14 +215,11 @@ def cmd_table(args: argparse.Namespace) -> int:
             formula = "-"
         row = [n, formula, bound_report(spec).best]
         if args.oracle:
-            cfg = _solver_config(args)
-            check_vertex_budget(spec.order, cfg)
             start = time.perf_counter()
-            result = min_fvs_exact(realize(spec), cfg, spec=spec)
+            result, wrong = _solve_family(spec, _solver_config(args))
             row += [result.minimum, result.nodes_explored,
                     f"{time.perf_counter() - start:.2f}"]
-            if formula != "-" and formula != result.minimum:
-                refuted = True
+            refuted = refuted or wrong is not None
         rows.append(row)
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
     for row in [header] + rows:
@@ -255,6 +255,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decycling",
@@ -265,45 +266,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nabla", help="print the closed-form decycling number")
     _add_family_arguments(p)
-    p.set_defaults(func=cmd_nabla)
 
     p = sub.add_parser("construct", help="build and verify a decycling certificate")
     _add_family_arguments(p)
     p.add_argument("-o", "--output", help="write the certificate JSON here")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="re-verify a certificate JSON file")
     p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exact minimum decycling set by search")
     _add_family_arguments(p, optional=True)
     p.add_argument("--edges", help="edge-list file: first line n, then 'u v' lines")
     _add_solver_arguments(p)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("table", help="formula vs. bounds (vs. oracle) over a range")
     p.add_argument("family", choices=FAMILY_KINDS)
     p.add_argument("range", help="e.g. 4..16")
     p.add_argument("--oracle", action="store_true", help="add exact-search columns")
     _add_solver_arguments(p)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("export", help="DOT (or adjacency) dump, set highlighted")
     _add_family_arguments(p)
     p.add_argument("--cert", help="certificate JSON whose set gets highlighted")
     p.add_argument("--format", choices=("dot", "adjacency"), default="dot")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_export)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, so the cached parser holds no handler.
+        return globals()[f"cmd_{args.command}"](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -325,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("out of range: too large to hold in memory", file=sys.stderr)
+        return EXIT_RANGE
 
 
 if __name__ == "__main__":

@@ -95,6 +95,12 @@ def _certify(
     return cert
 
 
+def _alternating_labels(n: int) -> list[int]:
+    """C3 x Cn labels in rows 0, 1, 0, 1, ... by column; for odd n the last is row 2."""
+    labels = [*range(0, n - n % 2, 2), *range(n + 1, 2 * n, 2)]
+    return labels + [3 * n - 1] if n % 2 else labels
+
+
 def alternating_row_set(n: int) -> VertexSet:
     """One vertex per column of C3 x Cn, rows 0,1,0,1,... (ending in 2 for odd
     n) so cyclically consecutive picks never share a row.  Deleting it leaves
@@ -103,10 +109,7 @@ def alternating_row_set(n: int) -> VertexSet:
     vertex."""
     if n < 3:
         raise InvalidParameterError(f"C3 x Cn needs n >= 3, got {n}")
-    rows = [c % 2 for c in range(n)]
-    if n % 2 == 1:
-        rows[n - 1] = 2
-    return VertexSet.of(3 * n, (rows[c] * n + c for c in range(n)))
+    return VertexSet.of(3 * n, _alternating_labels(n))
 
 
 def decycle_c3xn(n: int) -> DecyclingCertificate:
@@ -114,8 +117,7 @@ def decycle_c3xn(n: int) -> DecyclingCertificate:
     rows plus the least label of the cycle they leave, stated by arithmetic
     (2n for even n, n - 2 for odd n) and checked with the whole set."""
     spec = FamilySpec.c3xc(n)
-    repair = 2 * n if n % 2 == 0 else n - 2
-    members = alternating_row_set(n).members | {repair}
+    members = _alternating_labels(n) + [2 * n if n % 2 == 0 else n - 2]
     return _certify(spec, VertexSet.of(spec.order, members), "row-zigzag-plus-repair")
 
 

@@ -727,3 +727,115 @@ def test_oracle_edges_never_anchors_on_vertex_zero(capsys, tmp_path):
     lines = out.splitlines()
     assert code == 0 and lines[0] == "minimum 1"
     assert "0" not in lines[1].split()[1:]
+
+
+def _outcome(argv):
+    """cli.main's exit code, stdout and stderr, counting argparse's SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_build_no_parser(tmp_path, monkeypatch):
+    import argparse
+
+    import decycling.cli as cli
+
+    cert = tmp_path / "cert.json"
+    edges = tmp_path / "edges.txt"
+    edges.write_text("4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def spied(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spied)
+    cli._build_parser.cache_clear()
+    assert _outcome(["nabla", "pow2", "10"])[0] == 0
+    assert len(built) == 7  # the warm-up builds the root parser and six subparsers
+    built.clear()
+    calls = [
+        ["nabla", "pow3", "9"], ["nabla", "powm", "11", "3"], ["nabla", "powm", "5"],
+        ["construct", "pow2", "10", "-o", str(cert)], ["construct", "c3xc", "5"],
+        ["verify", str(cert)], ["verify", str(tmp_path / "missing.json")],
+        ["oracle", "c4xc", "5"], ["oracle", "--edges", str(edges)],
+        ["oracle", "pow2", "6", "--mode", "branch-and-bound", "--node-budget", "50"],
+        ["oracle", "--mode", "bogus"],
+        ["table", "pow2", "4..8"], ["table", "c4xc", "4..5", "--oracle"],
+        ["table", "powm", "4..8"],
+        ["export", "pow2", "10", "--cert", str(cert)],
+        ["export", "c3xc", "4", "--format", "adjacency"],
+        ["--help"], ["oracle", "--help"], ["bogus"], ["verify"],
+    ]
+    codes = [_outcome(argv)[0] for argv in calls]
+    assert codes == [0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 2, 2]
+    assert built == []
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch):
+    import re
+
+    import decycling
+
+    cert = str(tmp_path / "cert.json")
+    sequence = [
+        ["oracle", "c4xc", "5", "--mode", "branch-and-bound", "--node-budget", "50"],
+        ["oracle", "c4xc", "5"],
+        ["construct", "pow2", "10", "-o", cert],
+        ["construct", "pow2", "10"],
+        ["nabla", "powm", "5"],
+        ["oracle", "--mode", "bogus"],
+        ["--help"],
+    ]
+    monkeypatch.delenv("DECYCLING_NODE_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+
+    def masked(outcome):
+        code, out, err = outcome
+        return code, re.sub(r"elapsed \S+", "elapsed -", out), err
+
+    in_process = [masked(_outcome(argv)) for argv in sequence]
+    src = os.path.dirname(os.path.dirname(decycling.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, seen in zip(sequence, in_process):
+        proc = subprocess.run([sys.executable, "-m", "decycling", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert seen == masked((proc.returncode, proc.stdout, proc.stderr)), argv
+
+
+def test_node_budget_environment_is_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.delenv("DECYCLING_NODE_BUDGET", raising=False)
+    assert run(capsys, "oracle", "c4xc", "5")[0] == 0
+    monkeypatch.setenv("DECYCLING_NODE_BUDGET", "3")
+    code, _, err = run(capsys, "oracle", "c4xc", "5")
+    assert code == 3 and "node budget 3 exceeded" in err
+    monkeypatch.setenv("DECYCLING_NODE_BUDGET", "2000000")
+    code, out, _ = run(capsys, "oracle", "c4xc", "5")
+    assert code == 0 and out.startswith("minimum 8\n")
+
+
+# Each callee is patched to raise: a real allocation this large could exhaust
+# the host's memory rather than raise MemoryError.
+@pytest.mark.parametrize("callee, argv", [
+    ("certificate_problems", ["verify", "{cert}"]),
+    ("build_certificate", ["construct", "pow2", "1000000000000000", "-o", "{out}"]),
+    ("realize", ["export", "pow2", "1000000000000000", "-o", "{out}"]),
+], ids=["verify", "construct", "export"])
+def test_a_command_out_of_memory_exits_3(capsys, tmp_path, monkeypatch, callee, argv):
+    import decycling.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    cert = tmp_path / "cert.json"
+    save(decycle_cn2(10), str(cert))
+    monkeypatch.setattr(cli, callee, exhausted)
+    argv = [arg.format(cert=cert, out=tmp_path / "out") for arg in argv]
+    assert run(capsys, *argv) == (3, "", "out of range: too large to hold in memory\n")
