@@ -190,7 +190,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        span = range(int(lo), int(hi) + 1)
+        if not span:
+            raise ValueError(text)
+        return span
     value = int(text)
     return range(value, value + 1)
 
@@ -201,7 +204,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     try:
         span = _parse_range(args.range)
     except ValueError:
-        raise _UsageError(f"bad range {args.range!r}, expected A..B")
+        raise _UsageError(f"bad range {args.range!r}, expected A..B with A <= B")
     header = ["n", "formula", "best_bound"]
     if args.oracle:
         header += ["oracle", "nodes", "seconds"]
@@ -309,9 +312,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"out of range: {err}", file=sys.stderr)
         return EXIT_RANGE
     except BudgetExceededError as err:
-        extra = ""
+        bounds = [f"proved >= {err.proved}"] if err.proved is not None else []
         if err.best_known is not None:
-            extra = f" (best known upper bound {err.best_known})"
+            bounds.append(f"best known upper bound {err.best_known}")
+        extra = f" ({', '.join(bounds)})" if bounds else ""
         print(f"budget exceeded: {err}{extra}", file=sys.stderr)
         return EXIT_RANGE
     except ConstructionInvariantError as err:

@@ -34,8 +34,11 @@ class GadgetNotFoundError(DecyclingError, RuntimeError):
 
 
 class BudgetExceededError(DecyclingError, RuntimeError):
-    """The exact solver ran out of its node or vertex budget."""
+    """The exact solver ran out of its node or vertex budget; best_known is
+    the size of the smallest decycling set found, proved the lower bound shown."""
 
-    def __init__(self, message: str, best_known: int | None = None):
+    def __init__(self, message: str, best_known: int | None = None,
+                 proved: int | None = None):
         super().__init__(message)
         self.best_known = best_known
+        self.proved = proved

@@ -26,8 +26,13 @@ reductions, in this order at each vertex of a sorted scan:
 * vertices of degree <= 1 are deleted,
 * a degree-2 vertex is suppressed by contracting its two edges,
 
-and then a fourth rule that prunes the node outright:
+and then two rules that prune the node outright:
 
+* the clique-packing bound: one greedy packing of vertex-disjoint cliques of
+  g with at least 4 vertices (on Cn^m, m >= 3, the label windows of m + 1) is
+  built per search.  Every step only deletes vertices or adds edges, so each
+  clique's survivors stay a clique, which keeps at most 2 vertices; a node is
+  infeasible when the sum of max(0, |Q alive| - 2) over the cliques exceeds k.
 * the cycle-rank bound (Beineke & Vandell, *Decycling graphs*, 1997): the
   cycle rank r = E - V + C of the multigraph (E counts edge multiplicities,
   C components) must fall to 0, and deleting a vertex of degree d lowers it
@@ -36,8 +41,10 @@ and then a fourth rule that prunes the node outright:
   The count needs a multigraph without self-loops; the reductions remove
   every loop, and the unreduced search never creates one.
 
-The working representation is a multigraph (contractions create parallel
-edges); witnesses always refer to original vertex labels.  Everything is
+Every deepening level starts from one root reduction per anchoring: with
+nothing forbidden, its forced picks do not depend on k.  The working
+representation is a multigraph (contractions create parallel edges);
+witnesses always refer to original vertex labels.  Everything is
 single-threaded and tie-breaks on smallest vertex label, so results are
 reproducible run to run.
 """
@@ -135,6 +142,24 @@ def _rank_exceeds(adj: Adj, k: int, forbidden: frozenset[int]) -> bool:
     return False
 
 
+def _clique_packing(g: Graph) -> list[tuple[int, ...]]:
+    """Disjoint cliques of >= 4 vertices, each grown in label order from its least."""
+    adj, used, packing = g.adjacency, set(), []
+    for v, nbrs in enumerate(adj):
+        # The clique needs three neighbors above v; nbrs is sorted.
+        if v in used or len(nbrs) < 3 or nbrs[-3] < v:
+            continue
+        clique, common = [v], set(nbrs)  # common: adjacent to every member
+        for u in nbrs:
+            if u > v and u in common and u not in used:
+                clique.append(u)
+                common.intersection_update(adj[u])
+        if len(clique) >= 4:
+            used.update(clique)
+            packing.append(tuple(clique))
+    return packing
+
+
 def greedy_decycling(g: Graph) -> VertexSet:
     """Fast valid decycling set: peel leaves, else take a max-degree vertex."""
     adj = _to_multigraph(g)
@@ -157,6 +182,8 @@ class _Search:
         self.cfg = cfg
         self.anchor = anchor  # g is vertex-transitive: some minimum set holds 0
         self.nodes = 0
+        self.packing = _clique_packing(g)
+        self._kernels: dict[bool, tuple[Adj, list[int]]] = {}  # anchored -> root
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -258,9 +285,15 @@ class _Search:
             if budget is None:
                 return None
             k = budget
+        return self._branch(adj, k, forbidden, chosen)
+
+    def _branch(self, adj: Adj, k: int, forbidden: frozenset[int],
+                chosen: list[int]) -> list[int] | None:
+        """Finish a reduced node: prune it or branch; adj is only read."""
         if not adj:
             return chosen
-        if _rank_exceeds(adj, k, forbidden):
+        need = sum(max(0, sum(v in adj for v in q) - 2) for q in self.packing)
+        if need > k or _rank_exceeds(adj, k, forbidden):
             return None
         cycle = self._find_cycle(adj)
         if cycle is None:
@@ -280,12 +313,21 @@ class _Search:
         return None
 
     def decide(self, k: int) -> list[int] | None:
-        adj = _to_multigraph(self.graph)
-        if self.anchor and k >= 1:
-            _delete(adj, 0)
-            found = self._decide(adj, k - 1, frozenset())
-            return None if found is None else [0, *found]
-        return self._decide(adj, k, frozenset())
+        self._tick()
+        anchored = self.anchor and k >= 1
+        if anchored not in self._kernels:
+            # Nothing is forbidden, so the forced picks do not depend on k.
+            adj = _to_multigraph(self.graph)
+            if anchored:
+                _delete(adj, 0)
+            forced: list[int] = []
+            if self.cfg.use_reductions:
+                self._reduce(adj, frozenset(), forced, len(adj))
+            self._kernels[anchored] = adj, forced
+        adj, forced = self._kernels[anchored]
+        k -= anchored + len(forced)
+        found = None if k < 0 else self._branch(adj, k, frozenset(), [*forced])
+        return None if found is None else [0] * anchored + found
 
 
 def _component_lower_bound(g: Graph) -> int:
@@ -358,7 +400,7 @@ def min_fvs_exact(
     except BudgetExceededError as err:
         upper = greedy_decycling(g).cardinality if witness is None else len(witness)
         best = upper if err.best_known is None else err.best_known
-        raise BudgetExceededError(str(err), best_known=best) from None
+        raise BudgetExceededError(str(err), best_known=best, proved=lo) from None
     result_set = VertexSet.of(g.n_vertices, witness)
     if not residual(g, result_set).is_forest:
         raise ConstructionInvariantError("search returned a set that leaves a cycle")

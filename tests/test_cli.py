@@ -839,3 +839,16 @@ def test_a_command_out_of_memory_exits_3(capsys, tmp_path, monkeypatch, callee, 
     monkeypatch.setattr(cli, callee, exhausted)
     argv = [arg.format(cert=cert, out=tmp_path / "out") for arg in argv]
     assert run(capsys, *argv) == (3, "", "out of range: too large to hold in memory\n")
+
+
+def test_table_rejects_a_reversed_range(capsys):
+    code, out, err = run(capsys, "table", "pow3", "40..7")
+    assert (code, out) == (2, "")
+    assert err == "usage error: bad range '40..7', expected A..B with A <= B\n"
+
+
+def test_node_budget_error_states_the_proved_and_the_best_known_bound(capsys):
+    code, out, err = run(capsys, "oracle", "pow3", "40", "--node-budget", "100")
+    assert (code, out) == (3, "")
+    assert err == ("budget exceeded: node budget 100 exceeded "
+                   "(proved >= 20, best known upper bound 21)\n")

@@ -299,7 +299,10 @@ def test_decide_with_forbidden_vertices_agrees_with_subset_enumeration(data):
     edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
     forbidden = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
     k = data.draw(st.integers(0, n))
-    g = Graph.from_edges(n, edges)
+    _assert_decide_agrees_with_subset_enumeration(Graph.from_edges(n, edges), forbidden, k)
+
+
+def _assert_decide_agrees_with_subset_enumeration(g, forbidden, k):
     free = [v for v in g.vertices() if v not in forbidden]
     expected = any(
         not naive_has_cycle(g, frozenset(combo))
@@ -310,7 +313,7 @@ def test_decide_with_forbidden_vertices_agrees_with_subset_enumeration(data):
         engine = _Search(g, SolverConfig(use_reductions=use_reductions))
         adj = {v: {u: 1 for u in g.neighbors(v)} for v in g.vertices()}
         found = engine._decide(adj, k, forbidden)
-        assert (found is not None) == expected, (edges, sorted(forbidden), k)
+        assert (found is not None) == expected, (g.adjacency, sorted(forbidden), k)
         if found is not None:
             assert len(found) <= k and not forbidden & set(found)
             assert not naive_has_cycle(g, frozenset(found))
@@ -473,3 +476,134 @@ def test_family_search_node_counts(spec, most):
     result = min_fvs_exact(realize(spec), spec=spec)
     assert result.minimum == nabla_formula(spec)
     assert result.nodes_explored <= most, result.nodes_explored
+
+
+def _octahedron():
+    # K_{2,2,2}: every vertex lies on four triangles, but no K4 exists.
+    pairs = itertools.combinations(range(6), 2)
+    return Graph.from_edges(6, [(u, v) for u, v in pairs if (u, v) not in ((0, 1), (2, 3), (4, 5))])
+
+
+def test_clique_packing_is_the_label_windows_on_cycle_powers():
+    for m in range(3, 7):
+        for n in range(2 * m + 2, 41):
+            windows = [tuple(range(s, min(s + m + 1, n))) for s in range(0, n, m + 1)]
+            packing = solver._clique_packing(realize(FamilySpec.powm(n, m)))
+            assert packing == [w for w in windows if len(w) >= 4], (n, m)
+    specs = [FamilySpec.c3xc(n) for n in range(3, 17)]
+    specs += [FamilySpec.c4xc(n) for n in range(4, 13)]
+    specs += [FamilySpec.pow2(n) for n in range(6, 49)]
+    for g in [realize(spec) for spec in specs] + [_octahedron()]:
+        assert solver._clique_packing(g) == [], g.n_vertices
+
+
+def _dense_graph(data, smallest):
+    n = data.draw(st.integers(smallest, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    dropped = data.draw(st.sets(st.sampled_from(pairs), max_size=len(pairs) // 2))
+    return Graph.from_edges(n, [pair for pair in pairs if pair not in dropped])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dense_graphs_agree_with_subset_enumeration(data):
+    # At least half of all pairs are edges, so most draws hold a K4 and the
+    # clique-packing prune fires; the other random tests rarely draw one.
+    g = _dense_graph(data, 4)
+    expected = _enumerated_minimum(g)
+    for mode in ("iterative-deepening", "branch-and-bound"):
+        for use_reductions in (True, False):
+            cfg = SolverConfig(mode=mode, use_reductions=use_reductions)
+            result = min_fvs_exact(g, cfg)
+            assert result.minimum == expected, (g.adjacency, mode, use_reductions)
+            assert residual(g, result.witness).is_forest
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_decide_with_forbidden_vertices_agrees_on_dense_graphs(data):
+    g = _dense_graph(data, 2)
+    n = g.n_vertices
+    forbidden = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    k = data.draw(st.integers(0, n))
+    _assert_decide_agrees_with_subset_enumeration(g, forbidden, k)
+
+
+def test_clique_packing_prune_changes_no_answer(monkeypatch):
+    # The prune only cuts infeasible subtrees and leaves the branch order
+    # alone, so minimum and witness match the search without it.
+    rng = random.Random(20261019)
+    cases = [(realize(spec), spec) for spec in [FamilySpec.pow3(n) for n in range(5, 33)]
+             + [FamilySpec.powm(n, m) for m in (3, 4, 5) for n in range(2 * m + 2, 25)]]
+    for _ in range(40):
+        n = rng.randint(6, 14)
+        pairs = list(itertools.combinations(range(n), 2))
+        cases.append((Graph.from_edges(n, rng.sample(pairs, rng.randint(len(pairs) // 2, len(pairs)))), None))
+    pruned = [min_fvs_exact(g, spec=spec) for g, spec in cases]
+    monkeypatch.setattr(solver, "_clique_packing", lambda g: [])
+    for (g, spec), with_prune in zip(cases, pruned):
+        plain = min_fvs_exact(g, spec=spec)
+        assert (with_prune.minimum, with_prune.witness) == (plain.minimum, plain.witness), spec
+        assert with_prune.nodes_explored <= plain.nodes_explored, spec
+
+
+def test_each_search_builds_its_root_multigraph_once(monkeypatch):
+    calls = []
+    real = solver._to_multigraph
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(solver, "_to_multigraph", spy)
+    spec = FamilySpec.pow3(24)
+    g = realize(spec)
+    # Seeded at 12 with a spec (two anchored levels) and at the cycle-rank
+    # bound 10 without one (four levels); the minimum is 13 either way.
+    assert min_fvs_exact(g, spec=spec).minimum == 13
+    assert calls == [g]
+    calls.clear()
+    assert _component_lower_bound(g) == 10 and min_fvs_exact(g).minimum == 13
+    assert calls == [g]
+
+
+@pytest.mark.parametrize(
+    "spec, minimum, most",
+    [(FamilySpec.pow3(24), 13, 250), (FamilySpec.pow3(40), 21, 1_500),
+     (FamilySpec.powm(30, 4), 19, 2_000)],
+)
+def test_clique_packing_node_counts(spec, minimum, most):
+    # Without the packing prune these need 998 / 46,968 / 15,992 nodes: the
+    # level one below the minimum is refuted by exhaustive search.
+    result = min_fvs_exact(realize(spec), spec=spec)
+    assert result.minimum == minimum == bound_report(spec).best + 1
+    assert result.nodes_explored <= most, result.nodes_explored
+
+
+def test_oracle_confirms_the_cube_power_plus_one_when_four_divides_n():
+    # The paper's Cn^3 value is n/2 + 1 for n = 0 mod 4, one above every
+    # lower bound here, so the oracle must refute n/2 by search.
+    cfg = SolverConfig(node_budget=2_000)
+    for n in range(8, 41, 4):
+        spec = FamilySpec.pow3(n)
+        result = min_fvs_exact(realize(spec), cfg, spec=spec)
+        assert result.minimum == nabla_formula(spec) == bound_report(spec).best + 1 == n // 2 + 1
+
+
+def test_budget_error_states_the_proved_lower_bound(monkeypatch):
+    spec = FamilySpec.pow3(40)
+    with pytest.raises(BudgetExceededError) as info:
+        min_fvs_exact(realize(spec), SolverConfig(node_budget=100), spec=spec)
+    assert (info.value.proved, info.value.best_known) == (20, 21)
+    probes = []
+
+    def refute_then_run_out(self, k):
+        probes.append(k)
+        if len(probes) == 1:
+            return None
+        raise BudgetExceededError("node budget exceeded")
+
+    monkeypatch.setattr(_Search, "decide", refute_then_run_out)
+    with pytest.raises(BudgetExceededError) as info:
+        min_fvs_exact(make_cycle(5))
+    assert probes == [1, 2] and info.value.proved == 2
