@@ -91,9 +91,9 @@ def _add_family_arguments(sub: argparse.ArgumentParser, optional: bool = False):
 def _add_solver_arguments(sub: argparse.ArgumentParser):
     sub.add_argument("--node-budget", type=int, default=None,
                      help="search node limit (default from DECYCLING_NODE_BUDGET)")
-    sub.add_argument("--vertex-budget", type=int, default=64)
+    sub.add_argument("--vertex-budget", type=int, default=SolverConfig.vertex_budget)
     sub.add_argument("--mode", choices=(ITERATIVE_DEEPENING, BRANCH_AND_BOUND),
-                     default=ITERATIVE_DEEPENING)
+                     default=SolverConfig.mode)
 
 
 def cmd_nabla(args: argparse.Namespace) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bounds import cube_count_bound, nabla_formula
+from .bounds import nabla_formula
 from .errors import ConstructionInvariantError, InvalidParameterError, NotCoveredError
 from .graphs import C3XC, C4XC, POW2, POW3, FamilySpec
 from .verify import VERIFIED, DecyclingCertificate, VertexSet, verify_certificate
@@ -71,20 +71,15 @@ def extend_with_cylinders(
     return VertexSet.of(4 * n, members)
 
 
-def _certify(
-    spec: FamilySpec,
-    s: VertexSet,
-    method: str,
-    lower_bound: int | None = None,
-) -> DecyclingCertificate:
-    """Certificate claiming the closed-form cardinality for spec (and, unless
-    given, the same lower bound), checked against the set by the verifier."""
+def _certify(spec: FamilySpec, s: VertexSet, method: str) -> DecyclingCertificate:
+    """Certificate claiming the closed-form cardinality for spec as both its
+    size and its lower bound, checked against the set by the verifier."""
     value = nabla_formula(spec)
     cert = DecyclingCertificate(
         family=spec,
         vertex_set=s,
         cardinality=value,
-        lower_bound=value if lower_bound is None else lower_bound,
+        lower_bound=value,
         method=method,
     )
     cert = verify_certificate(cert)
@@ -132,7 +127,7 @@ def decycle_c4xn(n: int) -> DecyclingCertificate:
     else:
         base_n, base = 5, C4XC5_BASE
     s = extend_with_cylinders(base_n, base, CYLINDER_GADGET, (n - base_n) // 2)
-    return _certify(spec, s, "base-plus-cylinders", lower_bound=cube_count_bound(n))
+    return _certify(spec, s, "base-plus-cylinders")
 
 
 def decycle_cn2(n: int) -> DecyclingCertificate:

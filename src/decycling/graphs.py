@@ -14,6 +14,7 @@ the independent references the family adjacency is tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,14 +105,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.adjacency[u]
-        lo, hi = 0, len(nbrs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if nbrs[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(nbrs) and nbrs[lo] == v
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def vertices(self) -> range:
         return range(self.n_vertices)

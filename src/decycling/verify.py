@@ -116,34 +116,32 @@ def _find_cycle(
 
 
 def _strip_shape(spec: FamilySpec):
-    """(w, b, inner, forward) for a spec with n > 2b and at most 4 rows, else
-    None: column c holds vertices r*n + c in w slots (4 on a torus, C3
-    leaving one unkept; 1 on a circulant) and joins columns c+1 .. c+b; inner
-    lists the rows r < q joined in a column, forward the (r, d, q) with
-    (r, c) ~ (q, c+d)."""
-    rows, n = spec.torus_rows or 1, spec.n
+    """(w, b, inner, forward) for a spec with n > 2b, else None: column c
+    holds the w vertices r*n + c (one on a circulant) and joins columns
+    c+1 .. c+b; inner lists the rows r < q joined in a column, forward the
+    (r, d, q) with (r, c) ~ (q, c+d)."""
+    w, n = spec.torus_rows or 1, spec.n
     b = 1 if spec.torus_rows else spec.power
-    if n <= 2 * b or rows > 4:
+    if n <= 2 * b:
         return None
     # read off column b, whose neighbours do not wrap when n > 2b
-    arcs = [(r, u % n - b, u // n) for r in range(rows) for u in spec.neighbors(r*n + b)]
+    arcs = [(r, u % n - b, u // n) for r in range(w) for u in spec.neighbors(r*n + b)]
     inner = tuple((r, q) for r, d, q in arcs if d == 0 and q > r)
-    return 4 if spec.torus_rows else 1, b, inner, tuple(a for a in arcs if a[1] > 0)
+    return w, b, inner, tuple(a for a in arcs if a[1] > 0)
 
 
-def _strip_step(shape, state: tuple[int, ...], bits: bytes):
-    """Sweep the columns whose keep bits (w per column) are bits into the
-    window, dropping as many of its oldest.  A state labels the w*b head slots
-    (columns 0 .. b-1), then the w*b window slots (the last b columns swept):
+def _strip_step(shape, state: tuple[int, ...], codes):
+    """Sweep columns into the window by their keep codes (bit r set when row
+    r is kept), dropping as many of its oldest.  A state labels the w*b head
+    slots (columns 0 .. b-1), then the w*b window slots (the last b swept):
     -1 if deleted, else a component, numbered by first occurrence.  Returns
-    (next state, edges added, merges): a cycle closes iff edges > merges, so
-    a minimizing transfer-matrix sweep can use the step as it is."""
+    (next state, edges added, merges): a cycle closes iff edges > merges."""
     w, b, inner, forward = shape
-    head, labels, parent = w * b, list(state), list(range(len(state) + len(bits)))
+    head, labels, parent = w * b, list(state), list(range(len(state) + w * len(codes)))
     kept = b"\x01" * len(parent) + b"\x00"  # label -1, a deleted slot, reads the 0
     edges = merges = 0
-    for c in range(0, len(bits), w):
-        new = [len(state) + c + r if bit else -1 for r, bit in enumerate(bits[c:c + w])]
+    for c, code in enumerate(codes):
+        new = [len(state) + c * w + r if code >> r & 1 else -1 for r in range(w)]
         old = labels[head:]
         e, m, _ = _union_find([(new[r], new[q]) for r, q in inner] + [
             (old[(b - d) * w + r], new[q]) for r, d, q in forward], kept, parent)
@@ -165,30 +163,30 @@ def _strip_close(shape, state: tuple[int, ...]) -> tuple[int, int]:
                        b"\x01" * len(state) + b"\x00", list(range(len(state))))[:2]
 
 
-def _sweep(spec: FamilySpec, shape, keep: bytearray) -> tuple[int, int]:
-    """(edges, merges) of a strip's residual: the first b columns make the
-    head and the window, then each step reads 4 keep bits (a torus column or
-    4 circulant labels, the last maybe fewer), memoized per state and keyed
-    as one 4-byte int for this call only."""
+def _sweep(n: int, shape, keep: bytearray) -> tuple[int, int]:
+    """(edges, merges) of a strip's residual, from one code byte per column
+    (w <= 8): the first b columns make the head and the window, then each
+    step reads a torus column or 4 circulant labels (the last maybe fewer),
+    memoized per state and keyed by its codes as one int."""
     w, b, _, _ = shape
-    n, head = spec.n, w * b
-    cols = bytearray(w * n)  # column-major: vertex r*n + c in slot c*w + r
-    for r in range(len(keep) // n):
-        cols[r::w] = keep[r * n:(r + 1) * n]
-    state, edges, merges = _strip_step(shape, (-1,) * (2 * head), cols[:head])
-    state = state[head:] * 2  # the first b columns are both the head and the window
-    rows: dict = {}  # state -> {a step's bits: (next state, its row, edges, merges)}
+    codes = sum(int.from_bytes(keep[r * n:(r + 1) * n], "little") << r
+                for r in range(w)).to_bytes(n, "little")
+    state, edges, merges = _strip_step(shape, (-1,) * (2 * w * b), codes[:b])
+    state = state[w * b:] * 2  # the first b columns are both the head and the window
+    rows: dict = {}  # state -> {a step's codes: (next state, its row, edges, merges)}
     row = rows[state] = {}
-    end = len(cols) - (len(cols) - head) % 4
-    for i, bits in zip(range(head, end, 4), memoryview(cols[head:end]).cast("I")):
-        hit = row.get(bits)
+    step = 1 if w > 1 else 4
+    end = n - (n - b) % step
+    keys = memoryview(codes)[b:end].cast("B" if w > 1 else "I")
+    for i, key in zip(range(b, end, step), keys):
+        hit = row.get(key)
         if hit is None:
-            nxt, e, m = _strip_step(shape, state, cols[i:i + 4])
-            hit = row[bits] = (nxt, rows.setdefault(nxt, {}), e, m)
+            nxt, e, m = _strip_step(shape, state, codes[i:i + step])
+            hit = row[key] = (nxt, rows.setdefault(nxt, {}), e, m)
         state, row, e, m = hit
         edges += e
         merges += m
-    state, e, m = _strip_step(shape, state, cols[end:])
+    state, e, m = _strip_step(shape, state, codes[end:])
     e2, m2 = _strip_close(shape, state)
     return edges + e + e2, merges + m + m2
 
@@ -231,7 +229,7 @@ def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
     if shape is None:
         n_edges, merges, closing = _union_find(g.edges(), keep, list(range(g.order)))
     else:
-        n_edges, merges = _sweep(g, shape, keep)
+        n_edges, merges = _sweep(g.n, shape, keep)
         closing = None if n_edges == merges else _union_find(
             g.edges(), keep, list(range(g.order)), stop=True)[2]
     n_kept = g.order - len(removed)  # s lies inside the graph's universe

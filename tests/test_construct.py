@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 from conftest import naive_min_fvs, residual_is_single_path
 from decycling import construct
+from decycling.bounds import cube_count_bound
+from decycling.certio import dumps
 from decycling.construct import (
     C4XC4_BASE,
     C4XC5_BASE,
@@ -212,6 +216,26 @@ def test_certificates_match_formula_and_are_tight():
         assert cert.cardinality == value, spec
         assert cert.lower_bound == value, spec
         assert cert.status == VERIFIED
+
+
+def test_the_cube_count_is_the_c4xn_closed_form():
+    for n in range(4, 401):
+        assert cube_count_bound(n) == nabla_formula(FamilySpec.c4xc(n)), n
+
+
+@pytest.mark.parametrize("n, digest", [
+    (4, "5ddf3698dbf16ed89d8bc7884a91c2dd8128b92e6e4028a39bb0b571f7059ec8"),
+    (5, "929df9adbff07adfcfcbb22fb7f7564b1bfd2cf2304c5d0b74dba4210c7700d9"),
+    (6, "2e6642b6810e33384620389f6e58e77860650000267cca35e5e7d4a606f4a59c"),
+    (7, "c87e7f8e35081893abedf153d539dcbd8c1d7205a72e89aaca4773a982173d22"),
+    (12, "9c1c78d64087e701626bf4a2c805d9194934c9aed1916ab69fc6cf0d36a2561e"),
+    (101, "7dfea38e9461b9573adcdc9599166e1ae9c2e48bf4a8ea5bb93d9cc75750ee10"),
+])
+def test_c4xn_certificate_files_are_pinned(n, digest):
+    # The lower bound is the closed form, which equals the cube-slab count.
+    text = dumps(decycle_c4xn(n))
+    assert f'"lower_bound": {cube_count_bound(n)},' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_constructions_are_deterministic():

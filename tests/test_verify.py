@@ -16,7 +16,14 @@ from decycling.construct import (
     decycle_cn3,
 )
 from decycling.errors import UniverseMismatchError
-from decycling.graphs import FamilySpec, Graph, make_cycle, make_cycle_power, realize
+from decycling.graphs import (
+    FamilySpec,
+    Graph,
+    cartesian_product,
+    make_cycle,
+    make_cycle_power,
+    realize,
+)
 from decycling.verify import (
     FAILED,
     VERIFIED,
@@ -316,3 +323,51 @@ def test_the_column_sweep_computes_few_distinct_steps(monkeypatch, kind):
         s = VertexSet.of(spec.order, [v for v in range(spec.order) if rng.random() < density])
         residual(spec, s)
         assert 0 < len(calls) <= 500, (density, len(calls))
+
+
+def _torus_shape(r):
+    """The strip shape of C_r x Cn written out by hand: rows i and i + 1
+    (and 0 and r - 1) share a column, and each row runs on to the next."""
+    ring = sorted({tuple(sorted((i, (i + 1) % r))) for i in range(r)})
+    return r, 1, tuple(ring), tuple((i, 1, i) for i in range(r))
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_the_column_sweep_counts_any_torus_width(r):
+    rng = random.Random(r)
+    for n in (3, 4, 5, 9, 40):
+        g = cartesian_product(make_cycle(r), make_cycle(n))
+        masks = [bytearray(b"\x01") * g.order, bytearray(g.order)] + [
+            bytearray(rng.random() > density for _ in range(g.order))
+            for density in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9) for _ in range(3)]
+        for keep in masks:
+            expected = verify._union_find(g.edges(), keep, list(range(g.order)))[:2]
+            assert verify._sweep(n, _torus_shape(r), keep) == expected, (r, n, keep)
+
+
+@pytest.mark.parametrize("kind", ["c3xc", "c4xc", "pow2", "pow3", "powm"])
+def test_a_strip_has_its_true_width(kind):
+    for m in (range(1, 7) if kind == "powm" else [None]):
+        b = m or {"pow2": 2, "pow3": 3}.get(kind, 1)
+        for n in range({"c4xc": 4, "pow2": 4, "pow3": 5}.get(kind, 3), 30):
+            spec = FamilySpec(kind, n, m)
+            shape = verify._strip_shape(spec)
+            if spec.torus_rows:
+                w, _, inner, forward = _torus_shape(spec.torus_rows)
+                assert shape[:2] == (w, 1) and sorted(shape[2]) == list(inner)
+                assert sorted(shape[3]) == list(forward)
+            elif n <= 2 * b:
+                assert shape is None
+                continue
+            assert shape[0] == (spec.torus_rows or 1), spec
+
+
+@pytest.mark.parametrize("kind, steps", [("c3xc", 5), ("c4xc", 8), ("pow2", 5), ("pow3", 4)])
+def test_a_construction_at_ten_thousand_takes_few_sweep_steps(monkeypatch, kind, steps):
+    cert = build_certificate(FamilySpec(kind, 10_000))
+    calls = []
+    real = verify._strip_step
+    monkeypatch.setattr(verify, "_strip_step",
+                        lambda *args: calls.append(1) or real(*args))
+    assert residual(cert.family, cert.vertex_set).is_forest
+    assert len(calls) <= steps
