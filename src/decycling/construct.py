@@ -1,11 +1,11 @@
 """Closed forms and explicit minimum decycling sets for the four families.
 
-The closed forms are stated once, in the bounds module's `_closed_form`
-table.  Every construction is a pure function of its parameters, claims the
-table's value as its cardinality, re-checks that claim and its set through
-the verifier on the family's implicit graph (no graph is built), and returns
-a certificate whose lower bound equals its cardinality, pinning the
-decycling number exactly.
+The closed forms are stated once, as the bounds module's re-derived
+`certifiable_lower_bound`.  Every construction is a pure function of its
+parameters, claims that bound as its cardinality, re-checks that claim and
+its set through the verifier on the family's implicit graph (no graph is
+built), and returns a certificate whose lower bound equals its cardinality,
+pinning the decycling number exactly.
 
 The C4 x Cn base sets and the two-column cylinder gadget were derived by
 exhaustive search (see the solver module's discover_gadget, which regenerates

@@ -10,8 +10,8 @@ witness cycle near it, the same for a Graph and the FamilySpec it realizes.
 Every routine takes a stored ``Graph`` or a ``FamilySpec``, whose ``order``,
 ``edges()`` and ``neighbors(v)`` are arithmetic on the labels, so a
 certificate is checked against its own family without building the graph.
-Its lower bound is re-derived: it may not exceed the best computed bound or
-the paper's closed form.
+Its lower bound is re-derived: it may not exceed `certifiable_lower_bound`,
+which reads no closed form.
 """
 
 from __future__ import annotations

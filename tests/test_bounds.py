@@ -1,8 +1,11 @@
 import pytest
 
+from conftest import naive_min_fvs
 from decycling.bounds import (
+    _closed_form,
     beineke_vandell,
     bound_report,
+    certifiable_lower_bound,
     clique_bound,
     cube_count_bound,
     k4_window_bound,
@@ -11,6 +14,7 @@ from decycling.bounds import (
 from decycling.construct import nabla_formula
 from decycling.errors import InvalidParameterError
 from decycling.graphs import FamilySpec, Graph, make_cycle, realize
+from decycling.solver import SolverConfig, min_fvs_exact
 
 
 def test_beineke_vandell_on_plain_cycles():
@@ -194,3 +198,74 @@ def test_bound_report_arithmetic_matches_the_realized_graph():
         assert ("clique_bound" in report.notes) == (report.clique_bound is not None)
         complete += report.clique_bound is not None
     assert complete > 30  # the complete cases Cn^m with 2m >= n - 1 are covered
+
+
+def _paper_value(kind: str, n: int) -> int:
+    """The paper's decycling numbers, stated here apart from the package."""
+    if kind == "c3xc":
+        return n + 1
+    if kind == "c4xc":
+        return (3 * n + 1) // 2
+    if kind == "pow2":
+        return -(-(n + 1) // 3) + (n % 3 == 2)
+    if n % 2 == 0:
+        return (n + 2) // 2
+    return (n + 1) // 2 if n % 4 == 1 else (n + 3) // 2
+
+
+# The paper's case tags for n = 0, 1, 2, ... modulo the list's length.
+PAPER_NOTES = {
+    "c3xc": ["closed form n+1"],
+    "c4xc": ["closed form ceil(3n/2)"],
+    "pow2": [
+        "closed form ceil((n+1)/3), n = 0 mod 3",
+        "closed form ceil((n+1)/3), n = 1 mod 3",
+        "closed form ceil((n+1)/3)+1, n = 2 mod 3",
+    ],
+    "pow3": [
+        "closed form (n+2)/2, n even",
+        "closed form (n+1)/2, n = 1 mod 4",
+        "closed form (n+2)/2, n even",
+        "closed form (n+3)/2, n = 3 mod 4",
+    ],
+}
+LEAST_N = {"c3xc": 3, "c4xc": 4, "pow2": 4, "pow3": 5}
+
+
+def _specs_up_to_500(kind: str):
+    power = {"pow2": 2, "pow3": 3}.get(kind)
+    for n in range(LEAST_N[kind], 501):
+        yield n, FamilySpec(kind, n)
+        if power is not None:
+            yield n, FamilySpec.powm(n, power)
+
+
+@pytest.mark.parametrize("kind", sorted(LEAST_N))
+def test_nabla_formula_is_the_paper_value(kind):
+    for n, spec in _specs_up_to_500(kind):
+        assert nabla_formula(spec) == _paper_value(kind, n), spec
+
+
+@pytest.mark.parametrize("kind", sorted(LEAST_N))
+def test_each_residue_has_the_paper_note(kind):
+    notes = PAPER_NOTES[kind]
+    for n, spec in _specs_up_to_500(kind):
+        assert _closed_form(spec) == (_paper_value(kind, n), notes[n % len(notes)]), spec
+
+
+def test_the_certified_bound_is_at_most_the_brute_force_minimum():
+    for m in range(2, 5):
+        for n in range(2 * m + 1, 13):
+            spec = FamilySpec.powm(n, m)
+            assert certifiable_lower_bound(spec) <= naive_min_fvs(realize(spec))[0], spec
+
+
+def test_the_certified_bound_is_the_oracle_minimum_on_cycle_powers():
+    # n = q(m + 1) + k: the window bound n - 2q, plus one when k = 0.
+    cfg = SolverConfig(node_budget=20_000)
+    for m in range(2, 7):
+        for n in range(2 * m + 1, 31):
+            spec = FamilySpec.powm(n, m)
+            q, k = divmod(n, m + 1)
+            minimum = min_fvs_exact(realize(spec), cfg, spec=spec).minimum
+            assert certifiable_lower_bound(spec) == minimum == n - 2 * q + (k == 0), spec

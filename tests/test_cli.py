@@ -20,7 +20,7 @@ from decycling.construct import (
     decycle_cn3,
 )
 from decycling.graphs import FamilySpec, realize
-from decycling.verify import VertexSet, residual
+from decycling.verify import DecyclingCertificate, VertexSet, residual
 from dataclasses import replace
 
 
@@ -51,6 +51,13 @@ def test_nabla_powm_delegates_to_square_and_cube(capsys):
     assert code == 0 and out.startswith("5 ")
     code, out, _ = run(capsys, "nabla", "powm", "11", "3")
     assert code == 0 and out.startswith("7 ")
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (4, 3)])
+def test_nabla_powm_below_the_square_and_cube_rows_exits_3(capsys, n, m):
+    code, out, err = run(capsys, "nabla", "powm", str(n), str(m))
+    assert (code, out) == (3, "")
+    assert err == f"out of range: no closed-form decycling number for C{n}^{m}\n"
 
 
 def test_construct_powm_is_not_covered(capsys):
@@ -852,3 +859,21 @@ def test_node_budget_error_states_the_proved_and_the_best_known_bound(capsys):
     assert (code, out) == (3, "")
     assert err == ("budget exceeded: node budget 100 exceeded "
                    "(proved >= 20, best known upper bound 21)\n")
+
+
+def test_verify_accepts_the_re_derived_cycle_power_bound(capsys, tmp_path):
+    # C10^4, n = 2(m + 1): the window bound is 6; keeping only 0, 1 and 5
+    # shows the re-derived bound 7 is the decycling number.
+    spec = FamilySpec.powm(10, 4)
+    kept_three = VertexSet.of(10, {2, 3, 4, 6, 7, 8, 9})
+    path = _write_document(tmp_path / "c.json", json.loads(
+        dumps(DecyclingCertificate(spec, kept_three, 7, 7, "test"))))
+    code, out, _ = run(capsys, "verify", path)
+    assert (code, out) == (0, "verified: C10^4 decycled by 7 vertices (lower bound 7)\n")
+    path = _write_document(tmp_path / "c.json", json.loads(
+        dumps(DecyclingCertificate(spec, VertexSet.of(10, range(2, 10)), 8, 8, "test"))))
+    code, out, _ = run(capsys, "verify", path)
+    assert (code, out) == (5, (
+        "failed: C10^4\n"
+        "  lower bound 8 exceeds 7, the best bound or closed form known for C10^4\n"
+    ))
