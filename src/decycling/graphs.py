@@ -15,7 +15,6 @@ the independent references the family adjacency is tested against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -310,13 +309,12 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """BFS distances from source; unreachable vertices get -1."""
     dist = [-1] * g.n_vertices
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
+    frontier = [source]
+    for v in frontier:
         for u in g.neighbors(v):
             if dist[u] < 0:
                 dist[u] = dist[v] + 1
-                queue.append(u)
+                frontier.append(u)
     return dist
 
 

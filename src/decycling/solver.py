@@ -13,7 +13,10 @@ returns a set smaller than asked for (deepening on C12^3 seeded 3 high reports
 
 The decision search branches on a currently-shortest residual cycle (every
 decycling set must hit every cycle), trying its vertices by descending
-multigraph degree, so a success tends to come on the first branch.  A family
+multigraph degree, so a success tends to come on the first branch.  A
+parallel pair is such a cycle; otherwise a breadth-first search from each
+root closes its non-tree edges with ``verify._close_cycle``, the walk that
+also closes the residual witness a rejected certificate prints.  A family
 graph is a Cayley graph, hence vertex-transitive: an automorphism maps a
 minimum set onto one holding vertex 0.  So when min_fvs_exact is given a
 family spec (and only then), asking for k >= 1 vertices deletes vertex 0 and
@@ -53,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .bounds import bound_report, cycle_rank_bound, nabla_formula
@@ -65,7 +67,8 @@ from .errors import (
     InvalidParameterError,
 )
 from .graphs import C4XC, FamilySpec, Graph
-from .verify import VERIFIED, DecyclingCertificate, VertexSet, _union_find, residual
+from .verify import (VERIFIED, DecyclingCertificate, VertexSet, _close_cycle,
+                     _union_find, residual)
 
 ITERATIVE_DEEPENING = "iterative-deepening"
 BRANCH_AND_BOUND = "branch-and-bound"
@@ -240,39 +243,23 @@ class _Search:
         for root in sorted(adj):
             if best_len == 3:
                 break
-            dist = {root: 0}
-            parent: dict[int, int | None] = {root: None}
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
+            parent, dist = {root: root}, {root: 0}
+            frontier = [root]
+            for v in frontier:
                 if 2 * dist[v] >= best_len - 1:
                     break
                 for u in sorted(adj[v]):
                     if u not in dist:
                         dist[u] = dist[v] + 1
                         parent[u] = v
-                        queue.append(u)
+                        frontier.append(u)
                     elif parent[v] != u:
-                        cycle = self._lift(parent, dist, v, u)
+                        # u is not nearer the root: such a u closed a cycle of
+                        # <= 2 * dist[v] from its own scan, so the break came first.
+                        cycle = _close_cycle(parent, dist, v, u)
                         if len(cycle) < best_len:
                             best, best_len = cycle, len(cycle)
-            # exhausted this root
         return best
-
-    @staticmethod
-    def _lift(
-        parent: dict[int, int | None], dist: dict[int, int], u: int, w: int
-    ) -> tuple[int, ...]:
-        """Close the non-tree edge u-w into a simple cycle via the BFS tree."""
-        pu, pw = [u], [w]
-        while dist[pu[-1]] > dist[pw[-1]]:
-            pu.append(parent[pu[-1]])
-        while dist[pw[-1]] > dist[pu[-1]]:
-            pw.append(parent[pw[-1]])
-        while pu[-1] != pw[-1]:
-            pu.append(parent[pu[-1]])
-            pw.append(parent[pw[-1]])
-        return tuple(pu + pw[-2::-1])
 
     def _decide(
         self, adj: Adj, k: int, forbidden: frozenset[int]

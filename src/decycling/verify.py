@@ -89,6 +89,21 @@ class ResidualReport:
         return self.n_components == 1
 
 
+def _close_cycle(parent: dict[int, int], dist: dict[int, int],
+                 a: int, b: int) -> tuple[int, ...]:
+    """The simple cycle a ... ancestor ... b that the non-tree edge a-b closes
+    in a breadth-first tree (the root is its own parent).  Needs
+    dist[a] <= dist[b], as when the edge was scanned from a: b climbs to a's
+    depth, then both ends climb until they meet."""
+    up, down = [a], [b]
+    while dist[down[-1]] > dist[a]:
+        down.append(parent[down[-1]])
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    return tuple(up + down[-2::-1])
+
+
 def _find_cycle(
     g: Graph | FamilySpec, removed: frozenset[int], edge: tuple[int, int]
 ) -> tuple[int, ...] | None:
@@ -97,22 +112,16 @@ def _find_cycle(
     search from u reaches v without that edge, and the path closes through
     it.  The search expands only vertices nearer to u than v is."""
     u, v = edge
-    parent = {u: u}
+    parent, dist = {u: u}, {u: 0}
     frontier = [u]
     for w in frontier:
         for x in g.neighbors(w):
             if x in parent or x in removed or (w == u and x == v):
                 continue
-            parent[x] = w
+            parent[x], dist[x] = w, dist[w] + 1
             if x == v:
-                cycle = [v]
-                while w != u:
-                    cycle.append(w)
-                    w = parent[w]
-                cycle.append(u)
-                return tuple(reversed(cycle))
+                return _close_cycle(parent, dist, u, v)
             frontier.append(x)
-    return None
 
 
 def _strip_shape(spec: FamilySpec):

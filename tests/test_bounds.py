@@ -41,6 +41,7 @@ def test_beineke_vandell_on_c4_torus():
 def test_beineke_vandell_clamps_forests_to_zero():
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert beineke_vandell(path) == 0
+    assert beineke_vandell(Graph(())) == 0
 
 
 def test_beineke_vandell_rejects_disconnected():

@@ -877,3 +877,29 @@ def test_verify_accepts_the_re_derived_cycle_power_bound(capsys, tmp_path):
         "failed: C10^4\n"
         "  lower bound 8 exceeds 7, the best bound or closed form known for C10^4\n"
     ))
+
+
+def test_oracle_on_a_power_without_a_closed_form_refutes_nothing(capsys):
+    # C12^4 has no closed form to compare, so no refuted line follows.
+    code, out, err = run(capsys, "oracle", "powm", "12", "4")
+    assert code == 0 and out.startswith("minimum 8\n")
+    assert err == ""
+
+
+def test_table_of_one_instance(capsys):
+    code, out, _ = run(capsys, "table", "pow2", "7")
+    assert (code, out) == (0, "n  formula  best_bound\n7        3           3\n")
+
+
+def test_oracle_on_an_edge_file_of_comments_only_exits_2(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# no edges\n")
+    code, out, err = run(capsys, "oracle", "--edges", str(path))
+    assert (code, out, err) == (2, "", f"usage error: {path}: empty edge list\n")
+
+
+def test_verify_rejects_a_method_that_is_not_a_string(capsys, tmp_path):
+    doc = json.loads(dumps(decycle_cn2(10)))
+    doc["method"] = 7
+    code, out, err = run(capsys, "verify", _write_document(tmp_path / "c.json", doc))
+    assert (code, out, err) == (2, "", "certificate error: method must be a string\n")

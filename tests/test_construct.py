@@ -284,6 +284,8 @@ def test_constructions_reject_out_of_range():
         decycle_cn2(3)
     with pytest.raises(InvalidParameterError):
         decycle_cn3(4)
+    with pytest.raises(InvalidParameterError):
+        alternating_row_set(2)
 
 
 @pytest.mark.parametrize("kind", ["c3xc", "c4xc", "pow2", "pow3"])

@@ -59,6 +59,11 @@ def test_product_c3_cn_counts(n):
     assert g.max_degree == 4
 
 
+def test_product_rejects_an_empty_factor():
+    with pytest.raises(InvalidParameterError):
+        cartesian_product(Graph(()), make_cycle(3))
+
+
 def test_product_c4_c4_counts():
     g = cartesian_product(make_cycle(4), make_cycle(4))
     assert g.n_vertices == 16
@@ -207,6 +212,10 @@ def test_graph_validates_adjacency():
         Graph(((1,), ()))  # asymmetric: 1 has no neighbors
     with pytest.raises(InvalidParameterError):
         Graph(((0,),))  # self-loop
+    with pytest.raises(InvalidParameterError):
+        Graph(((5,),))  # neighbour outside the labels
+    with pytest.raises(InvalidParameterError):
+        Graph(((2, 1), (0,), (0,)))  # neighbours out of order
 
 
 def test_adjacency_dump_format():

@@ -607,3 +607,58 @@ def test_budget_error_states_the_proved_lower_bound(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         min_fvs_exact(make_cycle(5))
     assert probes == [1, 2] and info.value.proved == 2
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Loop-free multigraphs on at most 8 labels out of 0..11, as solver
+    adjacency; about half of them carry parallel edges."""
+    labels = sorted(draw(st.sets(st.integers(0, 11), min_size=1, max_size=8)))
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
+    top = 3 if draw(st.booleans()) else 1
+    adj = {v: {} for v in labels}
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = draw(st.integers(1, top))
+    return adj
+
+
+def _brute_force_girth(adj):
+    """Length of a shortest cycle, trying vertex sequences shortest first
+    (2 for a parallel pair); None on forests."""
+    if any(c > 1 for nbrs in adj.values() for c in nbrs.values()):
+        return 2
+    for length in range(3, len(adj) + 1):
+        for first, *rest in itertools.combinations(sorted(adj), length):
+            for order in itertools.permutations(rest):
+                walk = (first, *order, first)
+                if all(b in adj[a] for a, b in zip(walk, walk[1:])):
+                    return length
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_the_branching_cycle_is_a_shortest_cycle(adj):
+    cycle = _Search(Graph(()), SolverConfig())._find_cycle(adj)
+    girth = _brute_force_girth(adj)
+    if girth is None:
+        assert cycle is None, adj
+        return
+    assert cycle is not None and len(cycle) == len(set(cycle)) == girth, (adj, cycle)
+    if girth == 2:
+        assert adj[cycle[0]][cycle[1]] > 1, (adj, cycle)
+    else:
+        assert all(b in adj[a] for a, b in zip(cycle, cycle[1:] + cycle[:1])), (adj, cycle)
+
+
+@pytest.mark.parametrize("edges, cycle", [
+    ([(0, 1), (1, 2), (0, 2)], (1, 0, 2)),  # scanned from 1, 2 at the same depth
+    ([(0, 1), (1, 2), (2, 3), (0, 3)], (3, 0, 1, 2)),  # scanned from 3, 2 one level deeper
+    ([(0, 1), (0, 2), (1, 2), (2, 3), (2, 3)], (2, 3)),  # a parallel pair first
+])
+def test_the_branching_cycle_runs_from_the_scanned_vertex(edges, cycle):
+    adj = {v: {} for v in range(4)}
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = adj[u].get(v, 0) + 1
+    assert _Search(Graph(()), SolverConfig())._find_cycle(adj) == cycle

@@ -81,6 +81,31 @@ def test_residual_rejects_universe_mismatch():
 def test_vertex_set_rejects_out_of_range():
     with pytest.raises(UniverseMismatchError):
         VertexSet.of(4, [4])
+    with pytest.raises(UniverseMismatchError):
+        VertexSet(-1, frozenset())
+
+
+def test_single_path_needs_one_component_unless_nothing_is_left():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert not residual(g, VertexSet.empty(4)).is_single_path  # two paths
+    assert residual(g, VertexSet.of(4, range(4))).is_single_path
+
+
+# A breadth-first tree: 0 is the root, 1 and 2 its children, 3 and 4 under 1,
+# 5 under 2, 6 under 3.
+_TREE_PARENT = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 3}
+_TREE_DIST = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3}
+
+
+@pytest.mark.parametrize("a, b, cycle", [
+    (0, 6, (0, 1, 3, 6)),  # a is the root
+    (3, 4, (3, 1, 4)),  # siblings
+    (3, 5, (3, 1, 0, 2, 5)),  # equal depth, meeting at the root
+    (2, 6, (2, 0, 1, 3, 6)),  # b two levels deeper
+    (4, 6, (4, 1, 3, 6)),  # b one level deeper
+])
+def test_close_cycle_runs_from_a_through_the_meeting_point_to_b(a, b, cycle):
+    assert verify._close_cycle(_TREE_PARENT, _TREE_DIST, a, b) == cycle
 
 
 def test_is_unicyclic_plain_cycle():
