@@ -15,10 +15,11 @@ from .construct import (
     decycle_c4xn,
     decycle_cn2,
     decycle_cn3,
+    discover_gadget,
 )
 from .errors import DecyclingError
 from .graphs import FamilySpec, Graph, realize
-from .solver import SolverConfig, discover_gadget, exists_fvs_of_size, min_fvs_exact
+from .solver import SolverConfig, exists_fvs_of_size, min_fvs_exact
 from .verify import DecyclingCertificate, VertexSet, is_unicyclic, residual, verify_certificate
 
 __all__ = [

@@ -51,7 +51,7 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
         lower_bound = doc["lower_bound"]
         method = doc["method"]
         status = doc["status"]
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise CertificateFormatError(f"missing certificate field: {err}") from None
     if version != SCHEMA_VERSION:
         raise CertificateFormatError(f"unsupported schema version {version!r}")

@@ -36,7 +36,7 @@ from .graphs import (
 )
 from .solver import BRANCH_AND_BOUND, ITERATIVE_DEEPENING, SolverConfig
 from .solver import check_vertex_budget, min_fvs_exact
-from .verify import VERIFIED, certificate_problems
+from .verify import certificate_problems
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -113,7 +113,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         )
     else:
         sys.stdout.write(dumps(cert))
-    return EXIT_OK if cert.status == VERIFIED else EXIT_FAILED
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

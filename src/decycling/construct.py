@@ -1,4 +1,5 @@
-"""Closed forms and explicit minimum decycling sets for the four families.
+"""Explicit minimum decycling sets for the four families, and the search that
+found the C4 x Cn gadget.
 
 The closed forms are stated once, as the bounds module's re-derived
 `certifiable_lower_bound`.  Every construction is a pure function of its
@@ -8,19 +9,25 @@ built), and returns a certificate whose lower bound equals its cardinality,
 pinning the decycling number exactly.
 
 The C4 x Cn base sets and the two-column cylinder gadget were derived by
-exhaustive search (see the solver module's discover_gadget, which regenerates
-them) and are frozen here as canonical data.
+exhaustive search (see discover_gadget below, which regenerates the gadget)
+and are frozen here as canonical data.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .bounds import nabla_formula
-from .errors import ConstructionInvariantError, InvalidParameterError, NotCoveredError
+from .errors import (
+    ConstructionInvariantError,
+    GadgetNotFoundError,
+    InvalidParameterError,
+    NotCoveredError,
+)
 from .graphs import C3XC, C4XC, POW2, POW3, FamilySpec
-from .verify import VERIFIED, DecyclingCertificate, VertexSet, verify_certificate
+from .verify import VERIFIED, DecyclingCertificate, VertexSet, residual, verify_certificate
 
 # Minimum decycling sets of C4xC4 (size 6) and C4xC5 (size 8), labels row*n+col.
 # Both minima were confirmed by exhausting all smaller subsets.
@@ -69,6 +76,15 @@ def extend_with_cylinders(
     for r, lc in gadget.pattern:
         members.extend(range(r * n + base_n + lc, (r + 1) * n, 2))
     return VertexSet.of(4 * n, members)
+
+
+def _c4xn_set(
+    n: int, bases: dict[int, Iterable[int]], gadget: CylinderGadget
+) -> VertexSet:
+    """C4 x Cn set grown by gadget copies from bases[4] for even n, bases[5]
+    for odd n."""
+    base_n = 4 + n % 2
+    return extend_with_cylinders(base_n, bases[base_n], gadget, (n - base_n) // 2)
 
 
 def _certify(spec: FamilySpec, s: VertexSet, method: str) -> DecyclingCertificate:
@@ -122,24 +138,14 @@ def decycle_c4xn(n: int) -> DecyclingCertificate:
     Even n grows from the C4xC4 base, odd n from the C4xC5 base, by appending
     cylinder gadget copies."""
     spec = FamilySpec.c4xc(n)
-    if n % 2 == 0:
-        base_n, base = 4, C4XC4_BASE
-    else:
-        base_n, base = 5, C4XC5_BASE
-    s = extend_with_cylinders(base_n, base, CYLINDER_GADGET, (n - base_n) // 2)
+    s = _c4xn_set(n, {4: C4XC4_BASE, 5: C4XC5_BASE}, CYLINDER_GADGET)
     return _certify(spec, s, "base-plus-cylinders")
 
 
 def decycle_cn2(n: int) -> DecyclingCertificate:
-    """Minimum decycling set of Cn^2: every third label, residue-adjusted."""
+    """Minimum decycling set of Cn^2: every third label, and the last."""
     spec = FamilySpec.pow2(n)
-    r = n % 3
-    if r == 0:
-        members = set(range(0, n - 2, 3)) | {n - 1}
-    elif r == 1:
-        members = set(range(0, n, 3))
-    else:
-        members = set(range(0, n - 1, 3)) | {n - 1}
+    members = {*range(0, n, 3), n - 1}
     return _certify(spec, VertexSet.of(spec.order, members), "spaced-thirds")
 
 
@@ -156,6 +162,40 @@ def decycle_cn3(n: int) -> DecyclingCertificate:
         for k in range(1, (n - 3) // 4 + 1):
             members.update((4 * k, 4 * k + 1))
     return _certify(spec, VertexSet.of(spec.order, members), "triple-plus-pairs")
+
+
+def discover_gadget(
+    base_even: DecyclingCertificate, base_odd: DecyclingCertificate
+) -> CylinderGadget:
+    """Re-derive the two-column cylinder gadget by exhaustive enumeration.
+
+    Tries every 3-of-8 slab pattern in lexicographic cell order, under all
+    four row rotations, and returns the first whose appended copies keep the
+    chained C4 x Cn certificates acyclic for every n in 6..12.
+    """
+    bases = {}
+    for cert, want in ((base_even, 4), (base_odd, 5)):
+        if cert.status != VERIFIED:
+            raise InvalidParameterError("gadget discovery needs verified base sets")
+        if cert.family.kind != C4XC or cert.family.n != want:
+            raise InvalidParameterError(
+                "base certificates must be for C4 x C4 and C4 x C5")
+        bases[want] = cert.vertex_set.sorted_members()
+
+    def survives(gadget: CylinderGadget) -> bool:
+        for n in range(6, 13):
+            spec, s = FamilySpec.c4xc(n), _c4xn_set(n, bases, gadget)
+            if s.cardinality != nabla_formula(spec) or not residual(spec, s).is_forest:
+                return False
+        return True
+
+    for combo in itertools.combinations(range(8), 3):
+        cells = [(i // 2, i % 2) for i in combo]
+        for t in range(4):
+            gadget = CylinderGadget(frozenset(((r + t) % 4, c) for r, c in cells))
+            if survives(gadget):
+                return gadget
+    raise GadgetNotFoundError("no 3-vertex two-column pattern extends the given bases")
 
 
 _BUILDERS = {

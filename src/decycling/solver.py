@@ -49,26 +49,25 @@ nothing forbidden, its forced picks do not depend on k.  The working
 representation is a multigraph (contractions create parallel edges);
 witnesses always refer to original vertex labels.  Everything is
 single-threaded and tie-breaks on smallest vertex label, so results are
-reproducible run to run.
+reproducible run to run.  The C4 x Cn gadget search lives in construct, with
+the constructions it regenerates.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
-from .bounds import bound_report, cycle_rank_bound, nabla_formula
-from .construct import CylinderGadget, extend_with_cylinders
+from .bounds import bound_report, cycle_rank_bound
+# Re-exported: the gadget search lives in construct, but tests import it here.
+from .construct import discover_gadget  # noqa: F401
 from .errors import (
     BudgetExceededError,
     ConstructionInvariantError,
-    GadgetNotFoundError,
     InvalidParameterError,
 )
-from .graphs import C4XC, FamilySpec, Graph
-from .verify import (VERIFIED, DecyclingCertificate, VertexSet, _close_cycle,
-                     _union_find, residual)
+from .graphs import FamilySpec, Graph
+from .verify import VertexSet, _close_cycle, _union_find, residual
 
 ITERATIVE_DEEPENING = "iterative-deepening"
 BRANCH_AND_BOUND = "branch-and-bound"
@@ -396,46 +395,4 @@ def min_fvs_exact(
         witness=result_set,
         nodes_explored=search.nodes,
         elapsed=time.perf_counter() - start,
-    )
-
-
-def discover_gadget(
-    base_even: DecyclingCertificate, base_odd: DecyclingCertificate
-) -> CylinderGadget:
-    """Re-derive the two-column cylinder gadget by exhaustive enumeration.
-
-    Tries every 3-of-8 slab pattern in lexicographic cell order, under all
-    four row rotations, and returns the first whose appended copies keep the
-    chained C4 x Cn certificates acyclic for every n in 6..12.
-    """
-    for cert, want in ((base_even, 4), (base_odd, 5)):
-        if cert.status != VERIFIED:
-            raise InvalidParameterError("gadget discovery needs verified base sets")
-        if cert.family.kind != C4XC or cert.family.n != want:
-            raise InvalidParameterError(
-                f"base certificates must be for C4 x C4 and C4 x C5"
-            )
-    bases = {
-        4: base_even.vertex_set.sorted_members(),
-        5: base_odd.vertex_set.sorted_members(),
-    }
-
-    def survives(gadget: CylinderGadget) -> bool:
-        for n in range(6, 13):
-            base_n = 4 if n % 2 == 0 else 5
-            s = extend_with_cylinders(base_n, bases[base_n], gadget, (n - base_n) // 2)
-            if s.cardinality != nabla_formula(FamilySpec.c4xc(n)):
-                return False
-            if not residual(FamilySpec.c4xc(n), s).is_forest:
-                return False
-        return True
-
-    for combo in itertools.combinations(range(8), 3):
-        cells = [(i // 2, i % 2) for i in combo]
-        for t in range(4):
-            gadget = CylinderGadget(frozenset(((r + t) % 4, c) for r, c in cells))
-            if survives(gadget):
-                return gadget
-    raise GadgetNotFoundError(
-        "no 3-vertex two-column pattern extends the given bases"
     )

@@ -903,3 +903,14 @@ def test_verify_rejects_a_method_that_is_not_a_string(capsys, tmp_path):
     doc["method"] = 7
     code, out, err = run(capsys, "verify", _write_document(tmp_path / "c.json", doc))
     assert (code, out, err) == (2, "", "certificate error: method must be a string\n")
+
+
+def test_table_oracle_refutation_exits_5(capsys, monkeypatch):
+    import decycling.cli as cli
+
+    monkeypatch.setattr(cli, "nabla_formula", lambda spec: 999)
+    code, out, err = run(capsys, "table", "pow2", "6..7", "--oracle")
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert code == 5
+    assert [(r[0], r[1], r[3]) for r in rows] == [("6", "999", "3"), ("7", "999", "3")]
+    assert err == "refuted: oracle disagrees with a closed form\n"

@@ -23,6 +23,12 @@ from decycling.construct import (
 from decycling.errors import InvalidParameterError, NotCoveredError
 from decycling.graphs import FamilySpec, realize, torus_coord
 from decycling.verify import VERIFIED, is_unicyclic, residual
+import decycling
+from decycling import solver
+from decycling.bounds import certifiable_lower_bound
+from decycling.construct import discover_gadget
+from decycling.errors import GadgetNotFoundError
+from decycling.verify import DecyclingCertificate, VertexSet, verify_certificate
 
 
 def test_c3xn_smallest_case_matches_brute_force():
@@ -317,3 +323,50 @@ def test_cylinder_extension_matches_the_coordinate_derivation(gadget):
             assert s.members == _cylinder_set_by_coordinates(
                 base_n, base, gadget, copies), (base_n, copies)
             assert len(s) == len(base) + 3 * copies
+
+
+def test_the_gadget_search_has_one_home():
+    assert solver.discover_gadget is discover_gadget
+    assert decycling.discover_gadget is discover_gadget
+
+
+def test_the_gadget_search_fails_when_no_pattern_keeps_the_closed_form():
+    # A verified C4 x C4 set one vertex above the minimum: every extension
+    # overshoots ceil(3n/2), so no slab pattern may be returned, although the
+    # stored gadget still leaves a forest on every extended torus.
+    spec = FamilySpec.c4xc(4)
+    padded = verify_certificate(DecyclingCertificate(
+        family=spec, vertex_set=VertexSet.of(16, {*C4XC4_BASE, 1}),
+        cardinality=7, lower_bound=6, method="padded"))
+    assert padded.status == VERIFIED
+    with pytest.raises(GadgetNotFoundError):
+        discover_gadget(padded, decycle_c4xn(5))
+
+
+def _power_rule_set(n, m):
+    # Cn^m with n = q(m + 1) + k: keep labels i(m + 1) + 1 and i(m + 1) + 2
+    # for i < q, except the last of them when k = 0; delete the rest.
+    q, k = divmod(n, m + 1)
+    kept = [i * (m + 1) + j for i in range(q) for j in (1, 2)]
+    if k == 0:
+        kept.pop()
+    return frozenset(range(n)).difference(kept)
+
+
+def test_the_cycle_power_rule_is_the_square_construction_at_m_2():
+    for n in range(5, 1001):
+        assert decycle_cn2(n).vertex_set.members == _power_rule_set(n, 2), n
+
+
+def test_the_cycle_power_rule_attains_the_certifiable_bound():
+    # Together with the bound's proof, this pins the decycling number of
+    # Cn^m for m = 2..12 and n = 2m + 1..200.
+    checked = 0
+    for m in range(2, 13):
+        for n in range(2 * m + 1, 201):
+            spec = FamilySpec.powm(n, m)
+            s = VertexSet(spec.order, _power_rule_set(n, m))
+            assert s.cardinality == certifiable_lower_bound(spec), (n, m)
+            assert residual(spec, s).is_forest, (n, m)
+            checked += 1
+    assert checked == 2046
