@@ -8,8 +8,9 @@ is read: branch-and-bound starts from it, and a budget error that found no set
 reports its size.  A refutation raises lo to k + 1, a success shrinks the set,
 so a seed that overshot is pushed down to a refutation.  Optimality assumes
 the seed is a true lower bound: the push-down recovers only when a probe
-returns a set smaller than asked for (deepening on C12^3 seeded 3 high reports
-9, not 7).
+returns a set smaller than asked for.  Deepening on C12^3 seeded 3 high still
+reports 7, as its first probe, at k = 9, returns a 7-set; on C4 x C4 seeded at
+7, one above its minimum 6, the probe returns a 7-set and 7 is reported.
 
 The decision search branches on a currently-shortest residual cycle (every
 decycling set must hit every cycle), trying its vertices by descending
@@ -41,6 +42,9 @@ and then two rules that prune the node outright:
   C components) must fall to 0, and deleting a vertex of degree d lowers it
   by at most d - 1, so a node whose remaining k picks cannot cover r with the
   k largest values of deg - 1 among non-forbidden vertices is infeasible.
+  The same test refutes a child in its parent, which never builds it: child
+  v forbids every sibling already blocked, so it is infeasible when deg v - 1
+  plus the k - 1 largest gains of the other unblocked vertices is below r.
   The count needs a multigraph without self-loops; the reductions remove
   every loop, and the unreduced search never creates one.
 
@@ -113,19 +117,24 @@ def _delete(adj: Adj, v: int) -> None:
     del adj[v]
 
 
-def _rank_exceeds(adj: Adj, k: int, forbidden: frozenset[int]) -> bool:
-    """True when no k non-forbidden deletions can leave a forest.
+def _rank_test(
+    adj: Adj, k: int, forbidden: frozenset[int]
+) -> tuple[dict[int, int], list[int], int] | None:
+    """None when no k non-forbidden deletions can leave a forest; otherwise
+    (degree, gains, rank): each vertex's multigraph degree, deg - 1 of the
+    non-forbidden vertices of degree > 1 in descending order, and the cycle
+    rank E - V + C.
 
-    Degrees only fall as deletions go on, so the k picks lower the cycle rank
-    E - V + C by at most the sum of the k largest current values of deg - 1.
-    adj must carry no self-loops.
+    Degrees only fall as deletions go on, so the k picks lower the rank by at
+    most the sum of the k largest gains.  adj must carry no self-loops.
     """
     degree = {v: sum(nbrs.values()) for v, nbrs in adj.items()}
     gains = sorted(
         (d - 1 for v, d in degree.items() if d > 1 and v not in forbidden),
         reverse=True,
     )
-    spare = sum(gains[:k]) - sum(degree.values()) // 2 + len(adj)
+    cover = sum(gains[:k])
+    spare = cover - sum(degree.values()) // 2 + len(adj)
     # Prune when spare < C; components are counted only until that shows.
     seen: set[int] = set()
     for root in adj:
@@ -133,7 +142,7 @@ def _rank_exceeds(adj: Adj, k: int, forbidden: frozenset[int]) -> bool:
             continue
         spare -= 1
         if spare < 0:
-            return True
+            return None
         seen.add(root)
         stack = [root]
         while stack:
@@ -141,7 +150,7 @@ def _rank_exceeds(adj: Adj, k: int, forbidden: frozenset[int]) -> bool:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-    return False
+    return degree, gains, cover - spare
 
 
 def _clique_packing(g: Graph) -> list[tuple[int, ...]]:
@@ -202,7 +211,8 @@ class _Search:
             changed = False
             for v in sorted(adj):
                 nbrs = adj.get(v)
-                if nbrs is None:
+                # No rule fires at three distinct neighbours and no loop.
+                if nbrs is None or (len(nbrs) > 2 and v not in nbrs):
                     continue
                 deg = sum(nbrs.values())
                 if v in nbrs or (deg == 2 and len(nbrs) == 1):
@@ -278,24 +288,32 @@ class _Search:
         """Finish a reduced node: prune it or branch; adj is only read."""
         if not adj:
             return chosen
-        need = sum(max(0, sum(v in adj for v in q) - 2) for q in self.packing)
-        if need > k or _rank_exceeds(adj, k, forbidden):
+        need = sum(max(0, sum(map(adj.__contains__, q)) - 2) for q in self.packing)
+        ranked = None if need > k else _rank_test(adj, k, forbidden)
+        if ranked is None:
             return None
+        degree, gains, rank = ranked
         cycle = self._find_cycle(adj)
         if cycle is None:
             return chosen
         blocked = set(forbidden)
-        for v in sorted(cycle, key=lambda w: (-sum(adj[w].values()), w)):
+        for v in sorted(cycle, key=lambda w: (-degree[w], w)):
             if v in blocked:
                 continue
-            child = _copy(adj)
-            _delete(child, v)
-            sub = self._decide(child, k - 1, frozenset(blocked))
-            if sub is not None:
-                chosen.append(v)
-                chosen.extend(sub)
-                return chosen
+            # gains holds v's gain and no blocked vertex's.  The child's rank
+            # test fails unless v's gain plus the k - 1 largest others covers
+            # the rank, so such a child is refuted here.
+            gain, top = degree[v] - 1, gains[:k]
+            if gain + sum(top) - max(gain, top[-1]) >= rank:
+                child = _copy(adj)
+                _delete(child, v)
+                sub = self._decide(child, k - 1, frozenset(blocked))
+                if sub is not None:
+                    chosen.append(v)
+                    chosen.extend(sub)
+                    return chosen
             blocked.add(v)
+            gains.remove(gain)
         return None
 
     def decide(self, k: int) -> list[int] | None:

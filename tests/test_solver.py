@@ -16,7 +16,14 @@ from decycling.errors import (
     ConstructionInvariantError,
     InvalidParameterError,
 )
-from decycling.graphs import FamilySpec, Graph, graph_power, make_cycle, realize
+from decycling.graphs import (
+    FamilySpec,
+    Graph,
+    cartesian_product,
+    graph_power,
+    make_cycle,
+    realize,
+)
 from decycling.solver import (
     SolverConfig,
     _component_lower_bound,
@@ -355,6 +362,32 @@ def test_a_seed_above_the_minimum_is_pushed_down(monkeypatch, mode):
     assert result.minimum == 8 and result.witness.cardinality == 8
 
 
+@pytest.mark.parametrize("spec, seed, probes, reported", [
+    # The first probe returns a set below the seed, so the loop pushes down.
+    (FamilySpec.pow3(12), 9, [(9, 7), (6, None)], 7),
+    # The probe returns a set of exactly the seed's size: nothing is probed
+    # below it, and a seed one above the minimum is reported as the minimum.
+    (FamilySpec.c4xc(4), 7, [(7, 7)], 7),
+    (FamilySpec.c4xc(6), 10, [(10, 10)], 10),
+    (FamilySpec.c4xc(8), 13, [(13, 13)], 13),
+])
+def test_deepening_from_an_overshot_seed(monkeypatch, spec, seed, probes, reported):
+    import types
+
+    monkeypatch.setattr(solver, "bound_report", lambda spec: types.SimpleNamespace(best=seed))
+    seen = []
+    real = _Search.decide
+
+    def spy(self, k):
+        found = real(self, k)
+        seen.append((k, None if found is None else len(found)))
+        return found
+
+    monkeypatch.setattr(_Search, "decide", spy)
+    assert min_fvs_exact(realize(spec), spec=spec).minimum == reported
+    assert seen == probes
+
+
 def test_greedy_set_is_built_only_where_it_is_read(monkeypatch):
     calls = []
     real = solver.greedy_decycling
@@ -662,3 +695,55 @@ def test_the_branching_cycle_runs_from_the_scanned_vertex(edges, cycle):
     for u, v in edges:
         adj[u][v] = adj[v][u] = adj[u].get(v, 0) + 1
     assert _Search(Graph(()), SolverConfig())._find_cycle(adj) == cycle
+
+
+def _torus_edge_list(rows, cols):
+    # The torus as an --edges input: a plain graph with no spec, so no anchor.
+    g = cartesian_product(make_cycle(rows), make_cycle(cols))
+    return Graph.from_edges(g.n_vertices, list(g.edges()))
+
+
+@pytest.mark.parametrize("g, spec, minimum, most", [
+    (_torus_edge_list(6, 6), None, 13, 202),
+    (_torus_edge_list(8, 8), None, 22, 1_072),
+    (realize(FamilySpec.pow3(40)), FamilySpec.pow3(40), 21, 971),
+    (realize(FamilySpec.powm(30, 5)), FamilySpec.powm(30, 5), 21, 3_382),
+], ids=["C6xC6", "C8xC8", "C40^3", "C30^5"])
+def test_parent_side_rank_refutation_node_counts(g, spec, minimum, most):
+    # Building every child and pruning it on arrival needs 293 / 2,366 /
+    # 1,129 / 3,708 nodes.  Leaving blocked siblings' gains in the pool needs
+    # 266 / 1,165 on the tori; counting v's own gain among the k - 1 largest
+    # others needs 260 / 1,132.
+    result = min_fvs_exact(g, spec=spec)
+    assert result.minimum == minimum
+    assert result.nodes_explored <= most, result.nodes_explored
+
+
+def _multigraph(edges):
+    adj = {}
+    for u, v, count in edges:
+        adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = count
+    return adj
+
+
+def test_the_parent_refutes_a_child_the_rank_bound_rules_out():
+    # A 4-cycle 0=1-2=3-0 with 0=1 and 2=3 doubled, 2 and 3 forbidden: every
+    # degree is 3, the cycle rank is 3, and the gains (deg - 1) of 0 and 1 are
+    # 2 each.  The search branches on the pair 0=1; child 0 is built and
+    # refuted (1 becomes a leaf, then the pair 2=3 cannot lose a vertex).
+    # Then 0 is blocked, so child 1 has gain 2 and no other gain to add,
+    # below the rank: the parent refutes it without building it.
+    search = _Search(Graph(()), SolverConfig())
+    adj = _multigraph([(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 0, 1)])
+    assert search._decide(adj, 2, frozenset({2, 3})) is None
+    assert search.nodes == 2  # the root and child 0
+
+
+def test_a_child_whose_gains_exactly_cover_the_rank_is_built():
+    # Two triple edges 0≡1 and 2≡3: rank 6 - 4 + 2 = 4, every gain is 2, and
+    # {0, 2} is a decycling set.  Each child the search takes covers the
+    # rank exactly, so refuting on equality would lose the answer.
+    search = _Search(Graph(()), SolverConfig())
+    adj = _multigraph([(0, 1, 3), (2, 3, 3)])
+    assert search._decide(adj, 2, frozenset()) == [0, 2]
+    assert search.nodes == 3

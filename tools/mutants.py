@@ -59,9 +59,29 @@ MUTANTS = {
         "tests/test_solver.py::test_reduction_forces_one_end_of_a_parallel_pair"),
     "clique-prune-subtracts-1": (
         "src/decycling/solver.py",
-        "sum(v in adj for v in q) - 2)",
-        "sum(v in adj for v in q) - 1)",
+        "sum(map(adj.__contains__, q)) - 2)",
+        "sum(map(adj.__contains__, q)) - 1)",
         "tests/test_solver.py"),
+    "rank-refutation-keeps-blocked-gains": (
+        "src/decycling/solver.py",
+        "            gains.remove(gain)\n",
+        "",
+        "tests/test_solver.py::test_parent_side_rank_refutation_node_counts"),
+    "rank-refutation-counts-own-gain-twice": (
+        "src/decycling/solver.py",
+        "gain + sum(top) - max(gain, top[-1])",
+        "gain + sum(gains[:k - 1])",
+        "tests/test_solver.py::test_parent_side_rank_refutation_node_counts"),
+    "rank-refutation-on-equality": (
+        "src/decycling/solver.py",
+        ">= rank:",
+        "> rank:",
+        "tests/test_solver.py::test_a_child_whose_gains_exactly_cover_the_rank_is_built"),
+    "rank-gains-include-forbidden": (
+        "src/decycling/solver.py",
+        "if d > 1 and v not in forbidden",
+        "if d > 1",
+        "tests/test_solver.py::test_the_parent_refutes_a_child_the_rank_bound_rules_out"),
     "close-cycle-joint-climb-dropped": (
         "src/decycling/verify.py",
         "    while up[-1] != down[-1]:\n"
