@@ -69,7 +69,8 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
         map(_is_int_type, set(map(type, members)))
     ):
         raise CertificateFormatError("set must be a list of integers")
-    if members != sorted(set(members)):
+    frozen = frozenset(members)
+    if len(frozen) != len(members) or members != sorted(members):
         raise CertificateFormatError("set must be strictly ascending")
     if members and not (members[0] >= 0 and members[-1] < n_vertices):
         raise CertificateFormatError("set member out of vertex range")
@@ -81,7 +82,7 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
         raise CertificateFormatError(f"status must be one of {_STATUSES}")
     return DecyclingCertificate(
         family=spec,
-        vertex_set=VertexSet.of(n_vertices, members),
+        vertex_set=VertexSet(n_vertices, frozen),
         cardinality=cardinality,
         lower_bound=lower_bound,
         method=method,
@@ -91,11 +92,11 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
 
 def dumps(cert: DecyclingCertificate) -> str:
     """json.dumps(document, indent=2) plus a newline, byte for byte, with the
-    set's members joined directly: an indented json.dumps runs in Python."""
+    set dumped flat, then split per member: an indented dump runs in Python."""
     fields = []
     for key, value in certificate_to_document(cert).items():
         if key == "set" and value:
-            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
+            text = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         fields.append(f'  "{key}": {text}')

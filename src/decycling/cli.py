@@ -208,21 +208,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     header = ["n", "formula", "best_bound"]
     if args.oracle:
         header += ["oracle", "nodes", "seconds"]
-    rows = []
-    refuted = False
-    for n in span:
-        spec = FamilySpec(args.family, n)
-        row = [n, nabla_formula(spec), bound_report(spec).best]
-        if args.oracle:
-            start = time.perf_counter()
-            result, wrong = _solve_family(spec, _solver_config(args))
-            row += [result.minimum, result.nodes_explored,
-                    f"{time.perf_counter() - start:.2f}"]
-            refuted = refuted or wrong is not None
-        rows.append(row)
+    rows, refuted, over = [], False, None
+    try:
+        for n in span:
+            spec = FamilySpec(args.family, n)
+            row = [n, nabla_formula(spec), bound_report(spec).best]
+            if args.oracle:
+                start = time.perf_counter()
+                result, wrong = _solve_family(spec, _solver_config(args))
+                row += [result.minimum, result.nodes_explored,
+                        f"{time.perf_counter() - start:.2f}"]
+                refuted = refuted or wrong is not None
+            rows.append(row)
+    except BudgetExceededError as err:  # still print the rows already solved
+        over = err
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
     for row in [header] + rows:
         print("  ".join(str(cell).rjust(w) for cell, w in zip(row, widths)))
+    if over is not None:
+        raise over
     if refuted:
         print("refuted: oracle disagrees with a closed form", file=sys.stderr)
         return EXIT_FAILED

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidParameterError
@@ -244,13 +244,14 @@ class FamilySpec:
             return (*range(lo, v), *range(v + 1, hi + 1))
         return tuple(sorted({u % n for u in range(lo, hi + 1) if u != v}))
 
-    def edges(self) -> Iterator[tuple[int, int]]:
+    def edges(self, keep: bytearray | None = None) -> Iterator[tuple[int, int]]:
         """Every edge (v, u), v < u, once in lexicographic order: the sequence
-        realize(self).edges() yields.  The labels fall into segments whose
-        vertices share the offsets u - v of their higher neighbours (per torus
-        row its first label, its inside and its last label; per circulant
-        each wrap vertex and one middle run), read off the segment's first
-        label, and each block of a segment is filled offset by offset."""
+        realize(self).edges() yields, or its edges with keep[v] and keep[u]
+        set.  The labels fall into segments whose vertices share the offsets
+        u - v of their higher neighbours (per torus row its first label, its
+        inside and its last label; per circulant each wrap vertex and one
+        middle run), read off the segment's first label, and each block of a
+        segment is filled offset by offset."""
         n, rows = self.n, self.torus_rows
         if rows:
             cuts = [c for r in range(0, rows * n, n) for c in (r, r + 1, r + n - 1)]
@@ -259,7 +260,7 @@ class FamilySpec:
             cuts = [*range(reach + 1), *range(n - reach, n)]
         cuts.append(self.order)
         return chain.from_iterable(chain.from_iterable(
-            _segment_edges(a, b, [u - a for u in self.neighbors(a) if u > a])
+            _segment_edges(a, b, [u - a for u in self.neighbors(a) if u > a], keep)
             for a, b in zip(cuts, cuts[1:])))
 
     def describe(self) -> str:
@@ -267,21 +268,24 @@ class FamilySpec:
         return f"C{rows} x C{self.n}" if rows else f"C{self.n}^{self.power}"
 
 
-def _segment_edges(start: int, stop: int, offsets: list[int]) -> Iterator[zip]:
+def _segment_edges(start: int, stop: int, offsets: list[int], keep=None) -> Iterator:
     """Edges (v, v + d) for v in [start, stop) and d in offsets, ascending,
-    as one zip per block of labels filled by slice assignment.  The lower
+    as one iterator per block of labels filled by slice assignment.  The lower
     ends and the near higher ends are slices of one list of labels, so the
-    pass creates few int objects."""
+    pass creates few int objects; keep's bytes, ANDed as ints, mask them."""
     k, block = len(offsets), 2048
     near = max([d for d in offsets if d < block], default=0)
     for a in range(start, stop, block):
         size = min(block, stop - a)
         labels = list(range(a, a + size + near))
-        low, high = [0] * (k * size), [0] * (k * size)
+        low, high, mask = [0] * (k * size), [0] * (k * size), bytearray(k * size)
         for i, d in enumerate(offsets):
             low[i::k] = labels[:size]
             high[i::k] = labels[d:d + size] if d <= near else range(a + d, a + d + size)
-        yield zip(low, high)
+            if keep is not None:
+                mask[i::k] = (int.from_bytes(keep[a:a + size], "little") & int.from_bytes(
+                    keep[a + d:a + d + size], "little")).to_bytes(size, "little")
+        yield zip(low, high) if keep is None else compress(zip(low, high), mask)
 
 
 def make_cycle(n: int) -> Graph:

@@ -2,11 +2,13 @@
 
 The forest test uses the edge-count/component identity (a graph is a forest
 iff |E| = |V| - #components), which doubles as the unicyclicity test.  A
-family instance is counted by a memoized sweep over its columns, any other
-graph by one union-find pass over its edges.  Off a forest, a union-find in
-the one lexicographic edge order of both graph types stops at the first edge
-that closes a cycle, and a breadth-first search through that edge finds the
-witness cycle near it, the same for a Graph and the FamilySpec it realizes.
+family instance is counted by a sweep over its columns, memoized per column
+and per run of 8 columns, any other graph by one union-find pass over its
+edges.  Off a forest, a union-find in the one lexicographic edge order of
+both graph types (a family lists only its kept edges) stops at the first
+edge that closes a cycle, and a breadth-first search through that edge finds
+the witness cycle near it, the same for a Graph and the FamilySpec it
+realizes.
 Every routine takes a stored ``Graph`` or a ``FamilySpec``, whose ``order``,
 ``edges()`` and ``neighbors(v)`` are arithmetic on the labels, so a
 certificate is checked against its own family without building the graph.
@@ -17,6 +19,7 @@ which reads no closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable
 
 from .bounds import certifiable_lower_bound
@@ -176,23 +179,35 @@ def _sweep(n: int, shape, keep: bytearray) -> tuple[int, int]:
     """(edges, merges) of a strip's residual, from one code byte per column
     (w <= 8): the first b columns make the head and the window, then each
     step reads a torus column or 4 circulant labels (the last maybe fewer),
-    memoized per state and keyed by its codes as one int."""
+    memoized per state and keyed by its codes as one int.  Runs of 8 codes
+    are memoized the same way, so a periodic set costs one lookup per run: a
+    miss walks the run's steps and records where they led."""
     w, b, _, _ = shape
     codes = sum(int.from_bytes(keep[r * n:(r + 1) * n], "little") << r
                 for r in range(w)).to_bytes(n, "little")
     state, edges, merges = _strip_step(shape, (-1,) * (2 * w * b), codes[:b])
     state = state[w * b:] * 2  # the first b columns are both the head and the window
-    rows: dict = {}  # state -> {a step's codes: (next state, its row, edges, merges)}
-    row = rows[state] = {}
+    # state -> (its steps: {codes: hit}, its runs: {8 codes: hit}), where a
+    # hit is (next state, its steps, its runs, edges, merges), kept flat
+    memo: dict = {}
+    row, jump = memo[state] = ({}, {})
     step = 1 if w > 1 else 4
     end = n - (n - b) % step
     keys = memoryview(codes)[b:end].cast("B" if w > 1 else "I")
-    for i, key in zip(range(b, end, step), keys):
-        hit = row.get(key)
-        if hit is None:
-            nxt, e, m = _strip_step(shape, state, codes[i:i + step])
-            hit = row[key] = (nxt, rows.setdefault(nxt, {}), e, m)
-        state, row, e, m = hit
+    runs = memoryview(codes)[b:end - (end - b) % 8].cast("Q")
+    for j, run in enumerate(chain(runs, [None])):  # None: the steps after the runs
+        hit = jump.get(run)
+        if hit is None:  # walk the run's steps, then record where they led
+            s, r, jp, e8, m8, i = state, row, jump, 0, 0, b + 8 * j
+            for key in keys[8 * j // step:8 * (j + 1) // step]:
+                hit = r.get(key)
+                if hit is None:
+                    nxt, e, m = _strip_step(shape, s, codes[i:i + step])
+                    hit = r[key] = (nxt, *memo.setdefault(nxt, ({}, {})), e, m)
+                s, r, jp, e, m = hit
+                e8, m8, i = e8 + e, m8 + m, i + step
+            hit = jump[run] = (s, r, jp, e8, m8)
+        state, row, jump, e, m = hit
         edges += e
         merges += m
     state, e, m = _strip_step(shape, state, codes[end:])
@@ -240,7 +255,7 @@ def residual(g: Graph | FamilySpec, s: VertexSet) -> ResidualReport:
     else:
         n_edges, merges = _sweep(g.n, shape, keep)
         closing = None if n_edges == merges else _union_find(
-            g.edges(), keep, list(range(g.order)), stop=True)[2]
+            g.edges(keep), keep, list(range(g.order)), stop=True)[2]
     n_kept = g.order - len(removed)  # s lies inside the graph's universe
     is_forest = n_edges == merges
     witness = None if is_forest else _find_cycle(g, removed, closing)

@@ -914,3 +914,15 @@ def test_table_oracle_refutation_exits_5(capsys, monkeypatch):
     assert code == 5
     assert [(r[0], r[1], r[3]) for r in rows] == [("6", "999", "3"), ("7", "999", "3")]
     assert err == "refuted: oracle disagrees with a closed form\n"
+
+
+def test_table_oracle_prints_the_rows_solved_before_the_vertex_budget(capsys):
+    code, out, err = run(capsys, "table", "c3xc", "20..22", "--oracle")
+    assert (code, err) == (3, "budget exceeded: graph order 66 exceeds vertex budget 64\n")
+    lines = out.splitlines()
+    assert [line[:-4] for line in lines] == [
+        " n  formula  best_bound  oracle  nodes  sec",
+        "20       21          21      21     20     ",
+        "21       22          22      22     21     ",
+    ]
+    assert lines[0].endswith("onds") and all(float(line[-4:]) >= 0 for line in lines[1:])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,3 +353,13 @@ def test_family_edges_are_the_realized_graphs_edge_sequence():
     assert FamilySpec.powm(7, 3) in specs  # complete graph K7
     for spec in specs:
         assert list(spec.edges()) == list(realize(spec).edges()), spec
+
+
+def test_family_edges_given_keep_are_the_kept_edges_in_order():
+    # c3xc 2100 and pow3 4200 have segments that cross blocks of labels.
+    rng = random.Random(11)
+    for spec in [*_every_kind_spec(40), FamilySpec.c3xc(2100), FamilySpec.pow3(4200)]:
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            keep = bytearray(rng.random() >= density for _ in range(spec.order))
+            expected = [e for e in spec.edges() if keep[e[0]] and keep[e[1]]]
+            assert list(spec.edges(keep)) == expected, (spec, density)

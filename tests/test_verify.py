@@ -396,3 +396,28 @@ def test_a_construction_at_ten_thousand_takes_few_sweep_steps(monkeypatch, kind,
                         lambda *args: calls.append(1) or real(*args))
     assert residual(cert.family, cert.vertex_set).is_forest
     assert len(calls) <= steps
+
+
+@pytest.mark.parametrize("kind, m", [
+    *((k, None) for k in ("c3xc", "c4xc", "pow2", "pow3")),
+    *(("powm", m) for m in range(1, 7))])
+def test_the_run_memo_of_the_sweep_agrees_with_the_union_find(kind, m):
+    # n - b takes every residue mod 8, so the sweep ends on every length of
+    # short run; periodic sets repeat runs, and a dropped first, middle or
+    # last member breaks the period there.
+    b = m or {"pow2": 2, "pow3": 3}.get(kind, 1)
+    rng = random.Random(f"runs {kind}{m}")
+    for n in range(max(2 * b + 1, 4 if kind == "c4xc" else 3), 61):
+        spec = FamilySpec(kind, n, m)
+        g, order = realize(spec), spec.order
+        periodic = (build_certificate(spec).vertex_set.sorted_members() if kind != "powm"
+                    else list(range(0, order, b + 1)))
+        sets = [[], [v for v in range(order) if rng.random() < 0.5], periodic] + [
+            periodic[:i] + periodic[i + 1:] for i in (0, len(periodic) // 2, len(periodic) - 1)]
+        for members in sets:
+            keep = bytearray(b"\x01") * order
+            for v in members:
+                keep[v] = 0
+            expected = verify._union_find(g.edges(), keep, list(range(order)))[:2]
+            assert verify._sweep(n, verify._strip_shape(spec), keep) == expected, (
+                spec, members)

@@ -99,6 +99,22 @@ MUTANTS = {
         "if code >> r & 1 else -1",
         "if code >> (r & 3) & 1 else -1",
         "tests/test_verify.py"),
+    "run-memo-records-running-total": (
+        "src/decycling/verify.py",
+        "hit = jump[run] = (s, r, jp, e8, m8)",
+        "hit = jump[run] = (s, r, jp, edges + e8, m8)",
+        "tests/test_verify.py::test_the_run_memo_of_the_sweep_agrees_with_the_union_find"),
+    "kept-edge-mask-tests-lower-end-only": (
+        "src/decycling/graphs.py",
+        '(int.from_bytes(keep[a:a + size], "little") & int.from_bytes(\n'
+        '                    keep[a + d:a + d + size], "little")).to_bytes(size, "little")',
+        "keep[a:a + size]",
+        "tests/test_graphs.py::test_family_edges_given_keep_are_the_kept_edges_in_order"),
+    "ascending-check-accepts-duplicates": (
+        "src/decycling/certio.py",
+        "if len(frozen) != len(members) or members != sorted(members):",
+        "if members != sorted(members):",
+        "tests/test_certio.py::test_malformed_documents_are_rejected"),
     "cn2-without-last-label": (
         "src/decycling/construct.py",
         "members = {*range(0, n, 3), n - 1}",
