@@ -150,17 +150,13 @@ def decycle_cn2(n: int) -> DecyclingCertificate:
 
 
 def decycle_cn3(n: int) -> DecyclingCertificate:
-    """Minimum decycling set of Cn^3: the block {0,1,2} plus spaced picks."""
+    """Minimum decycling set of Cn^3: the block {0,1,2} plus spaced picks below
+    n - 1, every other label for even n, else a pair every 4 labels."""
     spec = FamilySpec.pow3(n)
-    members = {0, 1, 2}
-    if n % 2 == 0:
-        members.update(range(4, n - 1, 2))
-    elif n % 4 == 1:
-        for k in range(1, (n - 5) // 4 + 1):
-            members.update((4 * k + 1, 4 * k + 2))
-    else:
-        for k in range(1, (n - 3) // 4 + 1):
-            members.update((4 * k, 4 * k + 1))
+    s = 4 + (n % 4 == 1)
+    picks = (range(4, n - 1, 2) if n % 2 == 0
+             else [*range(s, n - 1, 4), *range(s + 1, n - 1, 4)])
+    members = {0, 1, 2, *picks}
     return _certify(spec, VertexSet.of(spec.order, members), "triple-plus-pairs")
 
 

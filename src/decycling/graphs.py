@@ -2,14 +2,15 @@
 
 Graphs are immutable simple undirected graphs over vertex labels
 0 .. n_vertices-1, stored as sorted per-vertex neighbor tuples.  A
-``FamilySpec`` is a graph too, an implicit one: it has an ``order``, computes
-``neighbors(v)`` from the label and lists ``edges()`` from arithmetic runs of
-labels, in the lexicographic order of the stored graph, so code that reads a
-graph only through those three runs on a family instance without building it
-and sees the same edge sequence.  ``realize`` builds the stored graph from
-``neighbors(v)``.  The module also generates plain cycles, cartesian products
-of cycles (toroidal grids, labeled row-major), and cycle powers (circulants),
-the independent references the family adjacency is tested against.
+``FamilySpec`` is a graph too, an implicit one: it has an ``order``, and its
+``arcs``, the one statement of its adjacency, give ``neighbors(v)``,
+``degree``, the verifier's strip shape and ``edges()`` from arithmetic runs
+of labels, in the lexicographic order of the stored graph, so code that reads
+a graph only through those runs on a family instance without building it.
+``realize`` builds the stored graph from ``neighbors(v)``.  The module also
+generates plain cycles, cartesian products of cycles (toroidal grids, labeled
+row-major), and cycle powers (circulants), the independent references the
+family adjacency is tested against.
 """
 
 from __future__ import annotations
@@ -215,50 +216,39 @@ class FamilySpec:
     @property
     def degree(self) -> int:
         """Common vertex degree of the realized graph (every family is regular)."""
-        if self.torus_rows:
-            return 4
-        return min(2 * self.power, self.n - 1)
+        return len(self.arcs[0])
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The one statement of the family's adjacency: arcs[r] lists the
+        (q, d) with (r, c) ~ (q, c + d mod n), vertex (r, c) being label
+        r*n + c.  Torus rows meet their column neighbours and columns c -+ 1;
+        a circulant is one row at distances 1 .. min(power, n // 2) both
+        ways, once when 2d = n, so no two arcs of a row reach one vertex."""
+        n, rows = self.n, self.torus_rows
+        if rows:
+            return tuple((((r - 1) % rows, 0), ((r + 1) % rows, 0), (r, -1), (r, 1))
+                         for r in range(rows))
+        span = range(1, min(self.power, n // 2) + 1)
+        return ((*((0, d) for d in span), *((0, -d) for d in span if 2 * d != n)),)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """Sorted neighbors of vertex v (0 <= v < order), by arithmetic on its
-        label; equal to realize(self).neighbors(v).
-
-        Tori are labeled row-major; a circulant joins labels at cyclic
-        distance 1 .. min(power, n // 2), the two directions meeting when the
-        distance is n / 2.
-        """
+        """Sorted neighbors of vertex v (0 <= v < order), read off its row's
+        arcs; equal to realize(self).neighbors(v)."""
         n = self.n
-        rows = self.torus_rows
-        if rows:
-            order = rows * n
-            row_start = v - v % n
-            return tuple(sorted((
-                (v - n) % order,
-                (v + n) % order,
-                row_start + (v - 1) % n,
-                row_start + (v + 1) % n,
-            )))
-        reach = min(self.power, n // 2)
-        lo, hi = v - reach, v + reach
-        if lo >= 0 and hi < n:  # no wrap: two runs of consecutive labels
-            return (*range(lo, v), *range(v + 1, hi + 1))
-        return tuple(sorted({u % n for u in range(lo, hi + 1) if u != v}))
+        r, c = divmod(v, n)
+        return tuple(sorted([q * n + (c + d) % n for q, d in self.arcs[r]]))
 
     def edges(self, keep: bytearray | None = None) -> Iterator[tuple[int, int]]:
         """Every edge (v, u), v < u, once in lexicographic order: the sequence
         realize(self).edges() yields, or its edges with keep[v] and keep[u]
         set.  The labels fall into segments whose vertices share the offsets
-        u - v of their higher neighbours (per torus row its first label, its
-        inside and its last label; per circulant each wrap vertex and one
-        middle run), read off the segment's first label, and each block of a
-        segment is filled offset by offset."""
-        n, rows = self.n, self.torus_rows
-        if rows:
-            cuts = [c for r in range(0, rows * n, n) for c in (r, r + 1, r + n - 1)]
-        else:
-            reach = min(self.power, n // 2)
-            cuts = [*range(reach + 1), *range(n - reach, n)]
-        cuts.append(self.order)
+        u - v of their higher neighbours (per row each column within reach of
+        an end, and one run between), read off the segment's first label, and
+        each block of a segment is filled offset by offset."""
+        n, reach = self.n, max(d for _, d in self.arcs[0])
+        ends = sorted({*range(reach + 1), *range(n - reach, n)})
+        cuts = [r * n + c for r in range(len(self.arcs)) for c in ends] + [self.order]
         return chain.from_iterable(chain.from_iterable(
             _segment_edges(a, b, [u - a for u in self.neighbors(a) if u > a], keep)
             for a, b in zip(cuts, cuts[1:])))

@@ -129,17 +129,15 @@ def _find_cycle(
 
 def _strip_shape(spec: FamilySpec):
     """(w, b, inner, forward) for a spec with n > 2b, else None: column c
-    holds the w vertices r*n + c (one on a circulant) and joins columns
+    holds the w vertices r*n + c, one per row of spec.arcs, and joins columns
     c+1 .. c+b; inner lists the rows r < q joined in a column, forward the
-    (r, d, q) with (r, c) ~ (q, c+d)."""
-    w, n = spec.torus_rows or 1, spec.n
-    b = 1 if spec.torus_rows else spec.power
-    if n <= 2 * b:
+    (r, d, q) with (r, c) ~ (q, c+d), d > 0."""
+    b, arcs = spec.power or 1, spec.arcs
+    if spec.n <= 2 * b:
         return None
-    # read off column b, whose neighbours do not wrap when n > 2b
-    arcs = [(r, u % n - b, u // n) for r in range(w) for u in spec.neighbors(r*n + b)]
-    inner = tuple((r, q) for r, d, q in arcs if d == 0 and q > r)
-    return w, b, inner, tuple(a for a in arcs if a[1] > 0)
+    flat = [(r, d, q) for r, row in enumerate(arcs) for q, d in row]
+    inner = tuple((r, q) for r, d, q in flat if d == 0 and q > r)
+    return len(arcs), b, inner, tuple(a for a in flat if a[1] > 0)
 
 
 def _strip_step(shape, state: tuple[int, ...], codes):

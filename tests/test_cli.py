@@ -474,6 +474,17 @@ def test_oracle_checks_the_vertex_budget_before_building_a_family(capsys, monkey
     assert err == f"budget exceeded: graph order {4 * 10**12} exceeds vertex budget 64\n"
 
 
+def test_oracle_checks_the_vertex_budget_before_building_the_arc_table(capsys, monkeypatch):
+    # C(10^7)^(5*10^6) has an arc table of 10^7 entries; its order is arithmetic.
+    def refuse(self):
+        raise AssertionError("the arc table was built before the vertex budget check")
+
+    monkeypatch.setattr(FamilySpec, "arcs", property(refuse))
+    code, out, err = run(capsys, "oracle", "powm", str(10**7), str(5 * 10**6))
+    assert (code, out) == (3, "")
+    assert err == f"budget exceeded: graph order {10**7} exceeds vertex budget 64\n"
+
+
 def test_oracle_checks_the_vertex_budget_before_reading_edges(capsys, tmp_path, monkeypatch):
     _forbid_graph_building(monkeypatch)
     path = tmp_path / "huge.txt"

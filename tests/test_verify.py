@@ -387,6 +387,29 @@ def test_a_strip_has_its_true_width(kind):
             assert shape[0] == (spec.torus_rows or 1), spec
 
 
+def _shape_read_off_the_graph(spec, b):
+    """The strip shape read off the realized graph's neighbours of column b,
+    which do not wrap when n > 2b; inner and forward sorted, as the sweep
+    reads them in any order."""
+    g, n, w = realize(spec), spec.n, spec.order // spec.n
+    arcs = [(r, u % n - b, u // n) for r in range(w) for u in g.neighbors(r * n + b)]
+    inner = sorted((r, q) for r, d, q in arcs if d == 0 and q > r)
+    return w, b, inner, sorted(a for a in arcs if a[1] > 0)
+
+
+def test_the_strip_shape_is_the_one_read_off_the_realized_graph():
+    # Covers the circulant forward arcs, which the torus reference above does not.
+    specs = [FamilySpec(kind, n) for kind, low in (("c3xc", 3), ("c4xc", 4), ("pow2", 4),
+                                                   ("pow3", 5)) for n in range(low, 41)]
+    specs += [FamilySpec.powm(n, m) for m in range(1, 9) for n in range(3, 41)]
+    for spec in specs:
+        b = {"c3xc": 1, "c4xc": 1, "pow2": 2, "pow3": 3}.get(spec.kind, spec.m)
+        if spec.n > 2 * b:
+            w, b_shape, inner, forward = verify._strip_shape(spec)
+            assert (w, b_shape, sorted(inner), sorted(forward)) == (
+                _shape_read_off_the_graph(spec, b)), spec
+
+
 @pytest.mark.parametrize("kind, steps", [("c3xc", 5), ("c4xc", 8), ("pow2", 5), ("pow3", 4)])
 def test_a_construction_at_ten_thousand_takes_few_sweep_steps(monkeypatch, kind, steps):
     cert = build_certificate(FamilySpec(kind, 10_000))

@@ -110,6 +110,36 @@ MUTANTS = {
         '                    keep[a + d:a + d + size], "little")).to_bytes(size, "little")',
         "keep[a:a + size]",
         "tests/test_graphs.py::test_family_edges_given_keep_are_the_kept_edges_in_order"),
+    "arcs-keep-both-signs-at-half-n": (
+        "src/decycling/graphs.py",
+        "*((0, -d) for d in span if 2 * d != n)",
+        "*((0, -d) for d in span)",
+        "tests/test_graphs.py::test_order_and_degree_match_the_realized_graph"),
+    "arcs-reach-not-clamped": (
+        "src/decycling/graphs.py",
+        "span = range(1, min(self.power, n // 2) + 1)",
+        "span = range(1, self.power + 1)",
+        "tests/test_graphs.py::test_family_spec_validation"),
+    "edge-cuts-without-the-far-end": (
+        "src/decycling/graphs.py",
+        "ends = sorted({*range(reach + 1), *range(n - reach, n)})",
+        "ends = sorted({*range(reach + 1)})",
+        "tests/test_graphs.py::test_family_edges_list_every_edge_once"),
+    "torus-ring-skips-a-row": (
+        "src/decycling/graphs.py",
+        "((r + 1) % rows, 0)",
+        "((r + 2) % rows, 0)",
+        "tests/test_graphs.py::test_realize_examples"),
+    "strip-forward-keeps-column-arcs": (
+        "src/decycling/verify.py",
+        "tuple(a for a in flat if a[1] > 0)",
+        "tuple(a for a in flat if a[1] >= 0)",
+        "tests/test_verify.py::test_residual_of_a_spec_equals_residual_of_its_realized_graph"),
+    "strip-width-one-column": (
+        "src/decycling/verify.py",
+        "b, arcs = spec.power or 1, spec.arcs",
+        "b, arcs = 1, spec.arcs",
+        "tests/test_verify.py::test_verify_certificate_accepts_valid_claim"),
     "ascending-check-accepts-duplicates": (
         "src/decycling/certio.py",
         "if len(frozen) != len(members) or members != sorted(members):",
@@ -120,6 +150,16 @@ MUTANTS = {
         "members = {*range(0, n, 3), n - 1}",
         "members = {*range(0, n, 3)}",
         "tests/test_construct.py"),
+    "cn3-pairs-start-by-n-3-mod-4": (
+        "src/decycling/construct.py",
+        "s = 4 + (n % 4 == 1)",
+        "s = 4 + (n % 4 == 3)",
+        "tests/test_construct.py::test_cn3_case_sets_and_paths"),
+    "cn3-even-picks-end-at-n-2": (
+        "src/decycling/construct.py",
+        "range(4, n - 1, 2)",
+        "range(4, n - 2, 2)",
+        "tests/test_construct.py::test_cn3_case_sets_and_paths"),
     "c4xn-base-choice-flipped": (
         "src/decycling/construct.py",
         "base_n = 4 + n % 2",
