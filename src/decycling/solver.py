@@ -17,7 +17,9 @@ decycling set must hit every cycle), trying its vertices by descending
 multigraph degree, so a success tends to come on the first branch.  A
 parallel pair is such a cycle; otherwise a breadth-first search from each
 root closes its non-tree edges with ``verify._close_cycle``, the walk that
-also closes the residual witness a rejected certificate prints.  A family
+also closes the residual witness a rejected certificate prints.  Once it
+holds a 4-cycle it stops, unless a triangle has its least vertex at or
+above the next root: later roots could only tie.  A family
 graph is a Cayley graph, hence vertex-transitive: an automorphism maps a
 minimum set onto one holding vertex 0.  So when min_fvs_exact is given a
 family spec (and only then), asking for k >= 1 vertices deletes vertex 0 and
@@ -37,6 +39,8 @@ and then two rules that prune the node outright:
   built per search.  Every step only deletes vertices or adds edges, so each
   clique's survivors stay a clique, which keeps at most 2 vertices; a node is
   infeasible when the sum of max(0, |Q alive| - 2) over the cliques exceeds k.
+  When the sum equals k, the parent refutes child v without building it
+  unless v lies in a clique with at least 3 survivors: g - v still needs k.
 * the cycle-rank bound (Beineke & Vandell, *Decycling graphs*, 1997): the
   cycle rank r = E - V + C of the multigraph (E counts edge multiplicities,
   C components) must fall to 0, and deleting a vertex of degree d lowers it
@@ -194,6 +198,7 @@ class _Search:
         self.anchor = anchor  # g is vertex-transitive: some minimum set holds 0
         self.nodes = 0
         self.packing = _clique_packing(g)
+        self._clique_of = {v: i for i, q in enumerate(self.packing) for v in q}
         self._kernels: dict[bool, tuple[Adj, list[int]]] = {}  # anchored -> root
 
     def _tick(self) -> None:
@@ -248,10 +253,17 @@ class _Search:
         if pair is not None:
             return pair
         best: tuple[int, ...] | None = None
-        best_len = len(adj) + 1
+        best_len, tested = len(adj) + 1, False
         for root in sorted(adj):
             if best_len == 3:
                 break
+            if best_len == 4 and not tested:
+                # A triangle through a scanned root would be best; with none
+                # left among the rest, later roots could only tie.
+                tested = True
+                if not any(u > v and any(w > u for w in adj[u].keys() & nbrs)
+                           for v, nbrs in adj.items() if v >= root for u in nbrs):
+                    break
             parent, dist = {root: root}, {root: 0}
             frontier = [root]
             for v in frontier:
@@ -288,7 +300,8 @@ class _Search:
         """Finish a reduced node: prune it or branch; adj is only read."""
         if not adj:
             return chosen
-        need = sum(max(0, sum(map(adj.__contains__, q)) - 2) for q in self.packing)
+        alive = [sum(map(adj.__contains__, q)) for q in self.packing]
+        need = sum(max(0, a - 2) for a in alive)
         ranked = None if need > k else _rank_test(adj, k, forbidden)
         if ranked is None:
             return None
@@ -302,9 +315,11 @@ class _Search:
                 continue
             # gains holds v's gain and no blocked vertex's.  The child's rank
             # test fails unless v's gain plus the k - 1 largest others covers
-            # the rank, so such a child is refuted here.
+            # the rank, so such a child is refuted here.  So is one whose
+            # deletion leaves a tight packing needing all k picks.
             gain, top = degree[v] - 1, gains[:k]
-            if gain + sum(top) - max(gain, top[-1]) >= rank:
+            live = v in self._clique_of and alive[self._clique_of[v]] >= 3
+            if (need < k or live) and gain + sum(top) - max(gain, top[-1]) >= rank:
                 child = _copy(adj)
                 _delete(child, v)
                 sub = self._decide(child, k - 1, frozenset(blocked))

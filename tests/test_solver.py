@@ -689,12 +689,33 @@ def test_the_branching_cycle_is_a_shortest_cycle(adj):
     ([(0, 1), (1, 2), (0, 2)], (1, 0, 2)),  # scanned from 1, 2 at the same depth
     ([(0, 1), (1, 2), (2, 3), (0, 3)], (3, 0, 1, 2)),  # scanned from 3, 2 one level deeper
     ([(0, 1), (0, 2), (1, 2), (2, 3), (2, 3)], (2, 3)),  # a parallel pair first
+    # Root 0 closes the 4-cycle 3-0-1-2; the triangle 3-4-5 lies among
+    # higher labels, so the scan goes on until root 3 closes it.
+    ([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (3, 5), (4, 5)], (4, 3, 5)),
+    # The triangle 1-4-5 has its least vertex at the next root, 1.
+    ([(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (1, 5), (4, 5)], (4, 1, 5)),
 ])
 def test_the_branching_cycle_runs_from_the_scanned_vertex(edges, cycle):
-    adj = {v: {} for v in range(4)}
+    adj = {v: {} for edge in edges for v in edge}
     for u, v in edges:
         adj[u][v] = adj[v][u] = adj[u].get(v, 0) + 1
     assert _Search(Graph(()), SolverConfig())._find_cycle(adj) == cycle
+
+
+def test_the_cycle_scan_ends_at_a_four_cycle_on_a_triangle_free_graph(monkeypatch):
+    # C8xC8 has no triangle, so once root 0 closes a 4-cycle no later root
+    # can do better.  Scanning every root closes 4 cycles from each, 256 in all.
+    roots = []
+    real = solver._close_cycle
+
+    def spy(parent, dist, v, u):
+        roots.append(next(iter(dist)))  # dist is filled from the root
+        return real(parent, dist, v, u)
+
+    monkeypatch.setattr(solver, "_close_cycle", spy)
+    adj = solver._to_multigraph(cartesian_product(make_cycle(8), make_cycle(8)))
+    assert _Search(Graph(()), SolverConfig())._find_cycle(adj) == (8, 0, 1, 9)
+    assert roots == [0] * 4
 
 
 def _torus_edge_list(rows, cols):
@@ -747,3 +768,41 @@ def test_a_child_whose_gains_exactly_cover_the_rank_is_built():
     adj = _multigraph([(0, 1, 3), (2, 3, 3)])
     assert search._decide(adj, 2, frozenset()) == [0, 2]
     assert search.nodes == 3
+
+
+def test_the_parent_refutes_a_child_a_tight_packing_rules_out():
+    # The packing is {0, 1, 2, 3} and {4, 5, 6, 7}.  The node keeps all of
+    # the first clique (need 2) and only 4 and 5 of the second (need 0),
+    # joined by the doubled edge 4=5, with 4-0 and 5-1.  Every degree is at
+    # least 3 and the rank is 10 - 6 + 1 = 5, which the two largest gains
+    # 3 + 3 cover.  The search branches on the pair 4=5.
+    g = Graph.from_edges(8, [*itertools.combinations(range(4), 2),
+                             *itertools.combinations(range(4, 8), 2)])
+    adj = _multigraph([*((u, v, 1) for u, v in itertools.combinations(range(4), 2)),
+                       (4, 5, 2), (4, 0, 1), (5, 1, 1)])
+    # At k = 2 the packing is tight and neither 4 nor 5 lies in a clique with
+    # 3 survivors: deleting either leaves need 2 > 1, so the parent refutes
+    # both children without building them.  Built, they take 2 more nodes.
+    search = _Search(g, SolverConfig())
+    assert search._decide(solver._copy(adj), 2, frozenset()) is None
+    assert search.nodes == 1
+    # At k = 3 the packing is not tight, so child 4 is built and succeeds.
+    search = _Search(g, SolverConfig())
+    assert search._decide(solver._copy(adj), 3, frozenset()) == [4, 0, 3]
+    assert search.nodes == 3
+
+
+@pytest.mark.parametrize("spec, minimum, most", [
+    (FamilySpec.pow3(24), 13, 106),
+    (FamilySpec.pow3(32), 17, 230),
+    (FamilySpec.pow3(40), 21, 426),
+    (FamilySpec.powm(30, 4), 19, 958),
+    (FamilySpec.powm(30, 5), 21, 2_297),
+    (FamilySpec.powm(35, 6), 26, 9_329),
+], ids=["C24^3", "C32^3", "C40^3", "C30^4", "C30^5", "C35^6"])
+def test_parent_side_packing_refutation_node_counts(spec, minimum, most):
+    # Building every child a tight packing rules out, and pruning it on
+    # arrival, needs 183 / 461 / 971 / 1,595 / 3,382 / 13,001 nodes.
+    result = min_fvs_exact(realize(spec), spec=spec)
+    assert result.minimum == minimum
+    assert result.nodes_explored <= most, result.nodes_explored

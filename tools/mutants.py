@@ -59,8 +59,8 @@ MUTANTS = {
         "tests/test_solver.py::test_reduction_forces_one_end_of_a_parallel_pair"),
     "clique-prune-subtracts-1": (
         "src/decycling/solver.py",
-        "sum(map(adj.__contains__, q)) - 2)",
-        "sum(map(adj.__contains__, q)) - 1)",
+        "sum(max(0, a - 2) for a in alive)",
+        "sum(max(0, a - 1) for a in alive)",
         "tests/test_solver.py"),
     "rank-refutation-keeps-blocked-gains": (
         "src/decycling/solver.py",
@@ -82,6 +82,31 @@ MUTANTS = {
         "if d > 1 and v not in forbidden",
         "if d > 1",
         "tests/test_solver.py::test_the_parent_refutes_a_child_the_rank_bound_rules_out"),
+    "packing-refutation-without-tightness": (
+        "src/decycling/solver.py",
+        "if (need < k or live) and",
+        "if live and",
+        "tests/test_solver.py::test_the_parent_refutes_a_child_a_tight_packing_rules_out"),
+    "two-survivor-clique-counted-live": (
+        "src/decycling/solver.py",
+        "alive[self._clique_of[v]] >= 3",
+        "alive[self._clique_of[v]] >= 2",
+        "tests/test_solver.py::test_the_parent_refutes_a_child_a_tight_packing_rules_out"),
+    "girth-stop-without-triangle-test": (
+        "src/decycling/solver.py",
+        "if not any(u > v and",
+        "if True or not any(u > v and",
+        "tests/test_solver.py::test_the_branching_cycle_runs_from_the_scanned_vertex"),
+    "triangle-test-skips-the-next-root": (
+        "src/decycling/solver.py",
+        "if v >= root for u in nbrs",
+        "if v > root for u in nbrs",
+        "tests/test_solver.py::test_the_branching_cycle_runs_from_the_scanned_vertex"),
+    "girth-stop-never-taken": (
+        "src/decycling/solver.py",
+        "if best_len == 4 and not tested:",
+        "if False:",
+        "tests/test_solver.py::test_the_cycle_scan_ends_at_a_four_cycle_on_a_triangle_free_graph"),
     "close-cycle-joint-climb-dropped": (
         "src/decycling/verify.py",
         "    while up[-1] != down[-1]:\n"
