@@ -84,15 +84,19 @@ def clique_bound(g: Graph) -> int | None:
 
 @dataclass
 class BoundReport:
-    """All lower bounds applicable to one family instance, best marked."""
+    """All lower bounds applicable to one family instance; best is the largest."""
 
     instance: FamilySpec
     beineke_vandell: int
     window_bound: int | None = None
     cube_bound: int | None = None
     clique_bound: int | None = None
-    best: int = 0
     notes: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def best(self) -> int:
+        return max(b for b in (self.beineke_vandell, self.window_bound,
+                               self.cube_bound, self.clique_bound) if b is not None)
 
 
 def bound_report(spec: FamilySpec) -> BoundReport:
@@ -121,17 +125,6 @@ def bound_report(spec: FamilySpec) -> BoundReport:
         report.clique_bound = order - 2
         report.notes["clique_bound"] = "complete graph keeps at most 2 vertices"
 
-    present = [
-        b
-        for b in (
-            report.beineke_vandell,
-            report.window_bound,
-            report.cube_bound,
-            report.clique_bound,
-        )
-        if b is not None
-    ]
-    report.best = max(present)
     return report
 
 

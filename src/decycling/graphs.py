@@ -364,7 +364,6 @@ def to_dot(
     g: Graph,
     highlight: frozenset[int] | set[int] = frozenset(),
     torus_rows: int | None = None,
-    name: str = "G",
 ) -> str:
     """DOT rendering with the highlighted set filled and doubly circled.
 
@@ -372,7 +371,7 @@ def to_dot(
     thick; edges incident to highlighted vertices thin.  For torus layouts
     vertices carry pinned grid positions usable by neato.
     """
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines = ["graph G {", "  node [shape=circle];"]
     n_cols = g.n_vertices // torus_rows if torus_rows else 0
     for v in g.vertices():
         attrs = []

@@ -18,12 +18,12 @@ multigraph degree, so a success tends to come on the first branch.  A
 parallel pair is such a cycle; otherwise a breadth-first search from each
 root closes its non-tree edges with ``verify._close_cycle``, the walk that
 also closes the residual witness a rejected certificate prints.  Once it
-holds a 4-cycle it stops, unless a triangle has its least vertex at or
-above the next root: later roots could only tie.  A family
-graph is a Cayley graph, hence vertex-transitive: an automorphism maps a
-minimum set onto one holding vertex 0.  So when min_fvs_exact is given a
-family spec (and only then), asking for k >= 1 vertices deletes vertex 0 and
-asks for k - 1.  Branching happens after exhaustively applying three
+holds a 4-cycle it jumps to the least root ahead that is the least vertex of
+a triangle, or stops when there is none: the roots in between could only tie.
+A family graph is a Cayley graph, hence vertex-transitive: an automorphism
+maps a minimum set onto one holding vertex 0.  So when min_fvs_exact is given
+a family spec (and only then), asking for k >= 1 vertices deletes vertex 0
+and asks for k - 1.  Branching happens after exhaustively applying three
 reductions, in this order at each vertex of a sorted scan:
 
 * one forced pick: a cycle of length <= 2 through v (a self-loop, or a
@@ -253,17 +253,15 @@ class _Search:
         if pair is not None:
             return pair
         best: tuple[int, ...] | None = None
-        best_len, tested = len(adj) + 1, False
-        for root in sorted(adj):
-            if best_len == 3:
+        best_len, roots = len(adj) + 1, sorted(adj)
+        for root in roots:
+            if best_len == 4:
+                # Only depth <= 1 is left, closing triangles through the root;
+                # earlier roots found theirs, so jump to the least triangle root ahead.
+                root = next((v for v in roots if v >= root for u in adj[v] if u > v
+                             and any(w > u for w in adj[u].keys() & adj[v])), None)
+            if root is None or best_len == 3:
                 break
-            if best_len == 4 and not tested:
-                # A triangle through a scanned root would be best; with none
-                # left among the rest, later roots could only tie.
-                tested = True
-                if not any(u > v and any(w > u for w in adj[u].keys() & nbrs)
-                           for v, nbrs in adj.items() if v >= root for u in nbrs):
-                    break
             parent, dist = {root: root}, {root: 0}
             frontier = [root]
             for v in frontier:

@@ -33,7 +33,7 @@ from decycling.solver import (
     greedy_decycling,
     min_fvs_exact,
 )
-from decycling.verify import residual
+from decycling.verify import _close_cycle, residual
 
 
 def test_minimum_of_complete_graph():
@@ -685,6 +685,18 @@ def test_the_branching_cycle_is_a_shortest_cycle(adj):
         assert all(b in adj[a] for a, b in zip(cycle, cycle[1:] + cycle[:1])), (adj, cycle)
 
 
+# The 4-cycle 0-1-2-3 beside the triangles {4, 5, 6} and {7, 8, 9}, 7 first.
+_SQUARE_BESIDE_TWO_TRIANGLES = [(7, 8), (8, 9), (7, 9), (0, 1), (1, 2), (2, 3), (0, 3),
+                                (4, 5), (5, 6), (4, 6)]
+
+
+def _edge_multigraph(edges):
+    adj = {v: {} for edge in edges for v in edge}
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = adj[u].get(v, 0) + 1
+    return adj
+
+
 @pytest.mark.parametrize("edges, cycle", [
     ([(0, 1), (1, 2), (0, 2)], (1, 0, 2)),  # scanned from 1, 2 at the same depth
     ([(0, 1), (1, 2), (2, 3), (0, 3)], (3, 0, 1, 2)),  # scanned from 3, 2 one level deeper
@@ -694,28 +706,40 @@ def test_the_branching_cycle_is_a_shortest_cycle(adj):
     ([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (3, 5), (4, 5)], (4, 3, 5)),
     # The triangle 1-4-5 has its least vertex at the next root, 1.
     ([(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (1, 5), (4, 5)], (4, 1, 5)),
+    # adj meets 7 first, but the scan jumps to 4, the least triangle root.
+    (_SQUARE_BESIDE_TWO_TRIANGLES, (5, 4, 6)),
 ])
 def test_the_branching_cycle_runs_from_the_scanned_vertex(edges, cycle):
-    adj = {v: {} for edge in edges for v in edge}
-    for u, v in edges:
-        adj[u][v] = adj[v][u] = adj[u].get(v, 0) + 1
-    assert _Search(Graph(()), SolverConfig())._find_cycle(adj) == cycle
+    assert _Search(Graph(()), SolverConfig())._find_cycle(_edge_multigraph(edges)) == cycle
+
+
+def _closing_roots(monkeypatch, adj):
+    """The branching cycle of adj, and the root of each cycle the scan closes."""
+    roots = []
+
+    def spy(parent, dist, v, u):
+        roots.append(next(iter(dist)))  # dist is filled from the root
+        return _close_cycle(parent, dist, v, u)
+
+    monkeypatch.setattr(solver, "_close_cycle", spy)
+    return _Search(Graph(()), SolverConfig())._find_cycle(adj), roots
 
 
 def test_the_cycle_scan_ends_at_a_four_cycle_on_a_triangle_free_graph(monkeypatch):
     # C8xC8 has no triangle, so once root 0 closes a 4-cycle no later root
     # can do better.  Scanning every root closes 4 cycles from each, 256 in all.
-    roots = []
-    real = solver._close_cycle
-
-    def spy(parent, dist, v, u):
-        roots.append(next(iter(dist)))  # dist is filled from the root
-        return real(parent, dist, v, u)
-
-    monkeypatch.setattr(solver, "_close_cycle", spy)
     adj = solver._to_multigraph(cartesian_product(make_cycle(8), make_cycle(8)))
-    assert _Search(Graph(()), SolverConfig())._find_cycle(adj) == (8, 0, 1, 9)
-    assert roots == [0] * 4
+    assert _closing_roots(monkeypatch, adj) == ((8, 0, 1, 9), [0] * 4)
+
+
+def test_the_cycle_scan_jumps_to_the_least_triangle_root(monkeypatch):
+    # Root 0 closes the 4-cycle; roots 1, 2 and 3 could only tie it, so the
+    # scan goes on at 4, the least vertex of the least triangle.
+    adj = _edge_multigraph(_SQUARE_BESIDE_TWO_TRIANGLES)
+    assert _closing_roots(monkeypatch, adj) == ((5, 4, 6), [0, 4])
+    # Root 3 closes a tying 4-cycle before the triangle 3-4-5.
+    adj = _edge_multigraph([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (3, 5), (4, 5)])
+    assert _closing_roots(monkeypatch, adj) == ((4, 3, 5), [0, 3, 3])
 
 
 def _torus_edge_list(rows, cols):

@@ -94,19 +94,24 @@ MUTANTS = {
         "tests/test_solver.py::test_the_parent_refutes_a_child_a_tight_packing_rules_out"),
     "girth-stop-without-triangle-test": (
         "src/decycling/solver.py",
-        "if not any(u > v and",
-        "if True or not any(u > v and",
+        "root = next((v for v in roots",
+        "root = None if True else next((v for v in roots",
         "tests/test_solver.py::test_the_branching_cycle_runs_from_the_scanned_vertex"),
     "triangle-test-skips-the-next-root": (
         "src/decycling/solver.py",
-        "if v >= root for u in nbrs",
-        "if v > root for u in nbrs",
+        "if v >= root for u in adj[v]",
+        "if v > root for u in adj[v]",
         "tests/test_solver.py::test_the_branching_cycle_runs_from_the_scanned_vertex"),
     "girth-stop-never-taken": (
         "src/decycling/solver.py",
-        "if best_len == 4 and not tested:",
+        "if best_len == 4:",
         "if False:",
         "tests/test_solver.py::test_the_cycle_scan_ends_at_a_four_cycle_on_a_triangle_free_graph"),
+    "jump-to-first-triangle-not-least": (
+        "src/decycling/solver.py",
+        "(v for v in roots if v >= root",
+        "(v for v in adj if v >= root",
+        "tests/test_solver.py::test_the_branching_cycle_runs_from_the_scanned_vertex"),
     "close-cycle-joint-climb-dropped": (
         "src/decycling/verify.py",
         "    while up[-1] != down[-1]:\n"

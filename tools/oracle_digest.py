@@ -9,9 +9,11 @@ Runs `min_fvs_exact` with the default configuration on
 * the 1,200 seed-1 and the 1,200 seed-2 G(40, 60) graphs of the
   oracle-random benchmark workload,
 
-and prints the search-node total of each group, then one sha256 over every
-(minimum, witness) in that order.  A change to the solver that must keep its
-answers prints the same digest; node totals show what it saved.
+and prints the search-node total of each group and the number of cycles its
+branching-cycle scans closed (calls of ``solver._close_cycle``), then one
+sha256 over every (minimum, witness) in that order.  A change to the solver
+that must keep its answers prints the same digest; both counts are
+deterministic and show what it saved.
 
 Run from anywhere, with no options:
 
@@ -29,8 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from decycling import solver  # noqa: E402
 from decycling.graphs import FamilySpec, Graph, cartesian_product, make_cycle, realize  # noqa: E402
-from decycling.solver import min_fvs_exact  # noqa: E402
 from run import DEFAULT_SEED, HELD_OUT_SEED, SIZES, random_graph  # noqa: E402
 
 
@@ -61,15 +63,24 @@ def groups():
 
 
 def main() -> int:
-    digest = hashlib.sha256()
+    digest, closes = hashlib.sha256(), 0
+    close_cycle = solver._close_cycle
+
+    def counted(*args):
+        nonlocal closes
+        closes += 1
+        return close_cycle(*args)
+
+    solver._close_cycle = counted
     for name, instances in groups():
         nodes, count, start = 0, 0, time.perf_counter()
+        closes = 0
         for g, spec in instances:
-            result = min_fvs_exact(g, spec=spec)
+            result = solver.min_fvs_exact(g, spec=spec)
             digest.update(f"{result.minimum} {result.witness.sorted_members()}\n".encode())
             nodes += result.nodes_explored
             count += 1
-        print(f"{name:20} {count:5} instances {nodes:8} nodes "
+        print(f"{name:20} {count:5} instances {nodes:8} nodes {closes:8} closes "
               f"{time.perf_counter() - start:7.2f}s", flush=True)
     print(f"sha256 {digest.hexdigest()}")
     return 0
