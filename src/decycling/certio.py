@@ -76,6 +76,10 @@ def document_to_certificate(doc: Any) -> DecyclingCertificate:
         raise CertificateFormatError("set member out of vertex range")
     if not _is_int(cardinality) or not _is_int(lower_bound):
         raise CertificateFormatError("cardinality and lower_bound must be integers")
+    torus = doc.get("torus")  # optional; a circulant's rows read None: none matches
+    if "torus" in doc and (torus != {"rows": spec.torus_rows, "cols": spec.n}
+                           or not all(map(_is_int, torus.values()))):
+        raise CertificateFormatError(f"torus does not match {spec.describe()}")
     if not isinstance(method, str):
         raise CertificateFormatError("method must be a string")
     if status not in _STATUSES:

@@ -22,9 +22,9 @@ holds a 4-cycle it jumps to the least root ahead that is the least vertex of
 a triangle, or stops when there is none: the roots in between could only tie.
 A family graph is a Cayley graph, hence vertex-transitive: an automorphism
 maps a minimum set onto one holding vertex 0.  So when min_fvs_exact is given
-a family spec (and only then), asking for k >= 1 vertices deletes vertex 0
-and asks for k - 1.  Branching happens after exhaustively applying three
-reductions, in this order at each vertex of a sorted scan:
+a family spec (and only then), vertex 0 is the root's first forced pick.
+Branching happens after exhaustively applying three reductions, in this order
+at each vertex of a sorted scan:
 
 * one forced pick: a cycle of length <= 2 through v (a self-loop, or a
   parallel pair v=a with v of degree 2) takes v for a loop, else a (which
@@ -52,8 +52,8 @@ and then two rules that prune the node outright:
   The count needs a multigraph without self-loops; the reductions remove
   every loop, and the unreduced search never creates one.
 
-Every deepening level starts from one root reduction per anchoring: with
-nothing forbidden, its forced picks do not depend on k.  The working
+Every deepening level starts from the one root, reduced once: with nothing
+forbidden, its forced picks do not depend on k.  The working
 representation is a multigraph (contractions create parallel edges);
 witnesses always refer to original vertex labels.  Everything is
 single-threaded and tie-breaks on smallest vertex label, so results are
@@ -193,13 +193,17 @@ def greedy_decycling(g: Graph) -> VertexSet:
 
 class _Search:
     def __init__(self, g: Graph, cfg: SolverConfig, anchor: bool = False):
-        self.graph = g
         self.cfg = cfg
-        self.anchor = anchor  # g is vertex-transitive: some minimum set holds 0
         self.nodes = 0
         self.packing = _clique_packing(g)
         self._clique_of = {v: i for i, q in enumerate(self.packing) for v in q}
-        self._kernels: dict[bool, tuple[Adj, list[int]]] = {}  # anchored -> root
+        # Nothing is forbidden at the root, so its forced picks do not depend
+        # on k; anchored, 0 is the first (g has a cycle: k = 0 fails anyway).
+        self.root, self.forced = _to_multigraph(g), [0] * anchor
+        if anchor:
+            _delete(self.root, 0)
+        if cfg.use_reductions:
+            self._reduce(self.root, frozenset(), self.forced, len(self.root))
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -331,20 +335,8 @@ class _Search:
 
     def decide(self, k: int) -> list[int] | None:
         self._tick()
-        anchored = self.anchor and k >= 1
-        if anchored not in self._kernels:
-            # Nothing is forbidden, so the forced picks do not depend on k.
-            adj = _to_multigraph(self.graph)
-            if anchored:
-                _delete(adj, 0)
-            forced: list[int] = []
-            if self.cfg.use_reductions:
-                self._reduce(adj, frozenset(), forced, len(adj))
-            self._kernels[anchored] = adj, forced
-        adj, forced = self._kernels[anchored]
-        k -= anchored + len(forced)
-        found = None if k < 0 else self._branch(adj, k, frozenset(), [*forced])
-        return None if found is None else [0] * anchored + found
+        k -= len(self.forced)
+        return None if k < 0 else self._branch(self.root, k, frozenset(), [*self.forced])
 
 
 def _component_lower_bound(g: Graph) -> int:

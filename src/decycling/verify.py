@@ -19,7 +19,6 @@ which reads no closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Iterable
 
 from .bounds import certifiable_lower_bound
@@ -84,7 +83,7 @@ class ResidualReport:
 
     @property
     def is_single_path(self) -> bool:
-        """True iff the residual graph is one path (or empty)."""
+        """True iff the residual graph is one tree, path or not, or empty."""
         if not self.is_forest:
             return False
         if self.n_vertices_left == 0:
@@ -176,10 +175,10 @@ def _strip_close(shape, state: tuple[int, ...]) -> tuple[int, int]:
 def _sweep(n: int, shape, keep: bytearray) -> tuple[int, int]:
     """(edges, merges) of a strip's residual, from one code byte per column
     (w <= 8): the first b columns make the head and the window, then each
-    step reads a torus column or 4 circulant labels (the last maybe fewer),
-    memoized per state and keyed by its codes as one int.  Runs of 8 codes
-    are memoized the same way, so a periodic set costs one lookup per run: a
-    miss walks the run's steps and records where they led."""
+    step reads a torus column or 4 circulant labels, memoized per state and
+    keyed by its codes as one int.  Runs of 8 codes are memoized the same
+    way, so a periodic set costs one lookup per run; one unmemoized step
+    reads the at most 7 codes after the last run."""
     w, b, _, _ = shape
     codes = sum(int.from_bytes(keep[r * n:(r + 1) * n], "little") << r
                 for r in range(w)).to_bytes(n, "little")
@@ -190,10 +189,9 @@ def _sweep(n: int, shape, keep: bytearray) -> tuple[int, int]:
     memo: dict = {}
     row, jump = memo[state] = ({}, {})
     step = 1 if w > 1 else 4
-    end = n - (n - b) % step
+    end = n - (n - b) % 8  # whole runs, hence whole steps
     keys = memoryview(codes)[b:end].cast("B" if w > 1 else "I")
-    runs = memoryview(codes)[b:end - (end - b) % 8].cast("Q")
-    for j, run in enumerate(chain(runs, [None])):  # None: the steps after the runs
+    for j, run in enumerate(memoryview(codes)[b:end].cast("Q")):
         hit = jump.get(run)
         if hit is None:  # walk the run's steps, then record where they led
             s, r, jp, e8, m8, i = state, row, jump, 0, 0, b + 8 * j

@@ -65,6 +65,19 @@ def test_save_and_load(tmp_path):
         lambda d: d.update(cardinality="four"),
         lambda d: d.update(family={"kind": "c4xc"}),
         lambda d: d.update(family={"kind": "c4xc", "n": 2}),
+        lambda d: d.update(torus={"rows": 3, "cols": 6}),
+        lambda d: d.update(torus={"rows": 4, "cols": 7}),
+        lambda d: d.update(torus={"rows": 4.0, "cols": 6}),
+        lambda d: d.update(torus={"rows": 4, "cols": 6.0}),
+        lambda d: d.update(torus={"rows": 4, "cols": 6, "x": 0}),
+        lambda d: d.update(torus=[4, 6]),
+        lambda d: d.update(torus=None),
+        # A circulant keeping the C4 x C6 torus, or one whose rows read null.
+        lambda d: d.update(family={"kind": "pow2", "n": 6}, n_vertices=6, set=[0, 3]),
+        lambda d: d.update(family={"kind": "pow2", "n": 6}, n_vertices=6, set=[0, 3],
+                           torus={"rows": None, "cols": 6}),
+        lambda d: d.update(family={"kind": "c3xc", "n": 5}, n_vertices=15, set=[0],
+                           torus={"rows": 7.5, "cols": True}),
     ],
 )
 def test_malformed_documents_are_rejected(mutate):
@@ -72,6 +85,13 @@ def test_malformed_documents_are_rejected(mutate):
     mutate(doc)
     with pytest.raises(CertificateFormatError):
         document_to_certificate(doc)
+
+
+def test_a_document_without_its_torus_still_loads():
+    cert = decycle_c4xn(6)
+    doc = certificate_to_document(cert)
+    del doc["torus"]
+    assert document_to_certificate(doc) == cert
 
 
 def test_loads_rejects_invalid_json():

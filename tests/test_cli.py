@@ -303,6 +303,14 @@ def test_verify_rejects_wrong_json_number_types(capsys, tmp_path, mutate):
     assert err.startswith("certificate error")
 
 
+def test_verify_rejects_a_torus_that_is_not_the_family_shape(capsys, tmp_path):
+    doc = json.loads(dumps(decycle_c3xn(5)))
+    doc["torus"] = {"rows": 7.5, "cols": True}
+    code, out, err = run(capsys, "verify", _write_document(tmp_path / "c.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("certificate error: torus")
+
+
 _UNREADABLE_CERTIFICATES = {
     "not-utf8": b"\xff\xfe{}",
     "int-digit-limit": b'{"schema_version": ' + b"9" * 5000 + b"}",

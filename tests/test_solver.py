@@ -600,6 +600,39 @@ def test_each_search_builds_its_root_multigraph_once(monkeypatch):
     assert calls == [g]
 
 
+def test_an_anchored_search_has_one_root_and_refutes_k_zero(monkeypatch):
+    calls = []
+    real = solver._to_multigraph
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(solver, "_to_multigraph", spy)
+    g = realize(FamilySpec.pow3(12))
+    search = _Search(g, SolverConfig(), anchor=True)
+    # Vertex 0 is the root's first forced pick, so k = 0 is refuted at once;
+    # the graph has a cycle, so an unanchored probe would refute it too.
+    assert search.decide(0) is None and search.nodes == 1
+    found = search.decide(7)
+    assert found is not None and found[0] == 0
+    assert not naive_has_cycle(g, frozenset(found))
+    assert calls == [g]
+
+
+def test_the_root_is_reduced_once_before_any_probe():
+    # Triangles 0-1-2 and 2-3-4 share 2, and 5 hangs off 0.  Suppressing 1
+    # and 3 leaves the pairs 0=2 and 2=4; 2 covers both, so the root reduces
+    # to nothing with 2 forced, and no probe branches.  On a family of degree
+    # >= 4 no rule fires at the root, even with 0 deleted, so the node counts
+    # of family searches do not show whether it was reduced.
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (0, 5)])
+    search = _Search(g, SolverConfig())
+    assert (search.root, search.forced) == ({}, [2])
+    assert search.decide(0) is None and search.decide(1) == [2]
+    assert search.nodes == 2
+
+
 @pytest.mark.parametrize(
     "spec, minimum, most",
     [(FamilySpec.pow3(24), 13, 250), (FamilySpec.pow3(40), 21, 1_500),

@@ -89,6 +89,9 @@ def test_single_path_needs_one_component_unless_nothing_is_left():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not residual(g, VertexSet.empty(4)).is_single_path  # two paths
     assert residual(g, VertexSet.of(4, range(4))).is_single_path
+    # One tree reads True even when it is not a path: the report keeps no degrees.
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert residual(star, VertexSet.empty(4)).is_single_path
 
 
 # A breadth-first tree: 0 is the root, 1 and 2 its children, 3 and 4 under 1,

@@ -112,6 +112,17 @@ MUTANTS = {
         "(v for v in roots if v >= root",
         "(v for v in adj if v >= root",
         "tests/test_solver.py::test_the_branching_cycle_runs_from_the_scanned_vertex"),
+    "anchor-not-a-forced-pick": (
+        "src/decycling/solver.py",
+        "[0] * anchor",
+        "[]",
+        # Sets found without 0 leave a cycle through it: min_fvs_exact raises.
+        "tests/test_solver.py::test_anchored_family_minima_agree_with_subset_enumeration"),
+    "root-reduction-skipped": (
+        "src/decycling/solver.py",
+        "            self._reduce(self.root, frozenset(), self.forced, len(self.root))\n",
+        "            pass\n",
+        "tests/test_solver.py::test_the_root_is_reduced_once_before_any_probe"),
     "close-cycle-joint-climb-dropped": (
         "src/decycling/verify.py",
         "    while up[-1] != down[-1]:\n"
@@ -133,6 +144,11 @@ MUTANTS = {
         "src/decycling/verify.py",
         "hit = jump[run] = (s, r, jp, e8, m8)",
         "hit = jump[run] = (s, r, jp, edges + e8, m8)",
+        "tests/test_verify.py::test_the_run_memo_of_the_sweep_agrees_with_the_union_find"),
+    "sweep-tail-dropped": (
+        "src/decycling/verify.py",
+        "codes[end:]",
+        "codes[end:end]",
         "tests/test_verify.py::test_the_run_memo_of_the_sweep_agrees_with_the_union_find"),
     "kept-edge-mask-tests-lower-end-only": (
         "src/decycling/graphs.py",
